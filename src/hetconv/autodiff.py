@@ -1,9 +1,9 @@
 """Dense kernels and a minimal reverse-mode tape.
 
 The tape is closed-world: it records exactly the primitives the model
-needs (products, ELU, row softmax, concatenation/slicing, dropout,
-row selection, elementwise add/mul, total sum, cross-entropy) and nothing
-else. All values are 2-D float64 arrays; a scalar is a 1x1 matrix.
+needs (dense and sparse products, ELU, row softmax, fused type attention,
+dropout, row selection, elementwise add/mul, total sum, cross-entropy) and
+nothing else. All values are 2-D float64 arrays; a scalar is a 1x1 matrix.
 
 A ``GradMatrix`` is tracked when it carries a tape reference. Operations
 record a backward closure when any input is tracked; ``Tape.backward``
@@ -13,18 +13,52 @@ arrays that are allocated lazily.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .graph import SparseAdj
 
 
+# glibc mallopt parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _retain_freed_memory() -> None:
+    """Keep the memory a backward pass frees in the process heap, once per process.
+
+    Every taped pass allocates and frees its activations and gradients.
+    With glibc's adaptive defaults the heap top goes back to the OS
+    whenever a few MB lie free there, so the next forward pass faults its
+    working set back in page by page: 10,000 faults, about a fifth of the
+    epoch, on the ``dblp_spec(940)`` graph and none on the graph half its
+    size, which bent epoch time upward between those two scales.
+    Fixed thresholds (arrays up to 32 MB from the heap, no trimming below
+    1 GB of free top) keep the pages mapped; peak memory is unchanged.
+    A no-op where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 class Tape:
-    """Ordered record of primitive operations for one forward pass."""
+    """Ordered record of primitive operations for one forward pass.
+
+    The first tape of a process makes the heap keep freed memory; see
+    ``_retain_freed_memory``.
+    """
 
     def __init__(self):
+        _retain_freed_memory()
         self._records: list[tuple["GradMatrix", Callable[[np.ndarray], None]]] = []
 
     def record(self, out: "GradMatrix", backward: Callable[[np.ndarray], None]) -> None:
@@ -34,19 +68,20 @@ class Tape:
     def backward(self, loss: "GradMatrix") -> None:
         """Accumulate d(loss)/d(leaf) into every tracked leaf's ``.grad``.
 
-        One-shot: the records (and with them all saved activations) are
-        released at the end of the sweep, so a finished pass never pins
-        layer-sized buffers past its epoch.
+        One-shot: each record (and with it the activations it saved) is
+        released as soon as its backward has run, so the gradients of the
+        lower layers reuse the memory of the upper layers' activations.
         """
         if loss.value.shape != (1, 1):
             raise ValueError(f"backward needs a scalar loss, got {loss.value.shape}")
         if loss.tape is not self:
             return  # constant loss: all gradients stay zero
         loss.grad = np.ones((1, 1))
-        for out, backward in reversed(self._records):
+        records = self._records
+        while records:
+            out, backward = records.pop()
             if out.grad is not None:
                 backward(out.grad)
-        self._records.clear()
 
 
 class GradMatrix:
@@ -120,9 +155,12 @@ def matmul(a: GradMatrix, b: GradMatrix) -> GradMatrix:
     if tape is not None:
         av, bv = a.value, b.value
 
+        # an untracked operand (the constant input features) needs no product
         def backward(g: np.ndarray) -> None:
-            _accum(a, g @ bv.T, own=True)
-            _accum(b, av.T @ g, own=True)
+            if a.tape is not None:
+                _accum(a, g @ bv.T, own=True)
+            if b.tape is not None:
+                _accum(b, av.T @ g, own=True)
 
         tape.record(out, backward)
     return out
@@ -177,22 +215,24 @@ def mul(a: GradMatrix, b: GradMatrix) -> GradMatrix:
 
 def elu(x: GradMatrix) -> GradMatrix:
     """Exponential linear unit: x for x > 0, exp(x) - 1 otherwise."""
-    neg = np.minimum(x.value, 0.0)
-    out_val = np.where(x.value > 0, x.value, np.expm1(neg))
+    # expm1(min(x, 0)) is 0 where x > 0 and never below x, so the maximum
+    # picks the right branch; one buffer, no masks
+    out_val = np.minimum(x.value, 0.0)
+    np.expm1(out_val, out=out_val)
+    np.maximum(out_val, x.value, out=out_val)
     tape = x.tape
     out = GradMatrix(out_val, tape)
     if tape is not None:
-        slope = np.where(x.value > 0, 1.0, np.exp(neg))
 
         def backward(g: np.ndarray) -> None:
-            _accum(x, g * slope, own=True)
+            # the slope is 1 where x > 0 and exp(x) = out + 1 elsewhere
+            slope = np.minimum(out_val, 0.0)
+            slope += 1.0
+            slope *= g
+            _accum(x, slope, own=True)
 
         tape.record(out, backward)
     return out
-
-
-# the model's sigma nonlinearity is ELU throughout
-sigma_nonlinearity = elu
 
 
 def softmax_rows(x: GradMatrix) -> GradMatrix:
@@ -211,34 +251,84 @@ def softmax_rows(x: GradMatrix) -> GradMatrix:
     return out
 
 
-def concat_cols(a: GradMatrix, b: GradMatrix) -> GradMatrix:
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
-    tape = _tape_of(a, b)
-    out = GradMatrix(np.hstack([a.value, b.value]), tape)
+def attend(
+    values: Sequence[GradMatrix],
+    key_map: GradMatrix | None = None,
+    query_map: GradMatrix | None = None,
+) -> tuple[GradMatrix, np.ndarray]:
+    """Attention-weighted mix of k same-shape candidates, as one record.
+
+    With the d x 1 ``key_map`` and ``query_map``, row i's weights are
+    softmax_j(ELU(values[j][i] @ key_map + values[0][i] @ query_map)):
+    ``values[0]`` is the query side and every candidate is a key. Without
+    them every candidate weighs 1/k (the mean variant). Returns the mix
+    sum_j weight_j * values[j] and the n x k weights, column j belonging
+    to ``values[j]``. The backward pass differentiates logits, softmax and
+    mix together and skips every untracked operand.
+    """
+    if not values:
+        raise ValueError("attend needs at least one candidate")
+    n, d = values[0].shape
+    for z in values[1:]:
+        if z.shape != (n, d):
+            raise ValueError(f"attend candidates differ in shape: {(n, d)} vs {z.shape}")
+    if (key_map is None) != (query_map is None):
+        raise ValueError("attend needs both the key and the query map, or neither")
+    k = len(values)
+    maps: tuple[GradMatrix, ...] = ()
+    if key_map is None:
+        att = np.full((n, k), 1.0 / k)
+    else:
+        if key_map.shape != (d, 1) or query_map.shape != (d, 1):
+            raise ValueError(
+                f"attend maps must be ({d}, 1), got {key_map.shape} and {query_map.shape}"
+            )
+        maps = (key_map, query_map)
+        q_score = values[0].value @ query_map.value
+        pre = np.hstack([z.value @ key_map.value for z in values]) + q_score
+        neg = np.minimum(pre, 0.0)
+        logits = np.where(pre > 0, pre, np.expm1(neg))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        att = e / e.sum(axis=1, keepdims=True)
+    mixed = att[:, :1] * values[0].value
+    term = np.empty_like(mixed)
+    for j in range(1, k):
+        mixed += np.multiply(att[:, j : j + 1], values[j].value, out=term)
+    tape = _tape_of(*values, *maps)
+    out = GradMatrix(mixed, tape)
     if tape is not None:
-        split = a.shape[1]
+        slope = np.where(pre > 0, 1.0, np.exp(neg)) if maps else None
 
         def backward(g: np.ndarray) -> None:
-            _accum(a, g[:, :split])
-            _accum(b, g[:, split:])
+            grads = [
+                att[:, j : j + 1] * g if z.tape is not None else None
+                for j, z in enumerate(values)
+            ]
+            if maps:
+                key, query = maps
+                d_att = np.column_stack([np.einsum("ij,ij->i", g, z.value) for z in values])
+                d_pre = slope * att * (d_att - (d_att * att).sum(axis=1, keepdims=True))
+                d_q = d_pre.sum(axis=1, keepdims=True)
+                if key.tape is not None:
+                    d_key = values[0].value.T @ d_pre[:, :1]
+                    for j in range(1, k):
+                        d_key += values[j].value.T @ d_pre[:, j : j + 1]
+                    _accum(key, d_key, own=True)
+                if query.tape is not None:
+                    _accum(query, values[0].value.T @ d_q, own=True)
+                key_row, query_row = key.value.T, query.value.T
+                term = np.empty((n, d))
+                for j, gz in enumerate(grads):
+                    if gz is not None:
+                        gz += np.multiply(d_pre[:, j : j + 1], key_row, out=term)
+                if grads[0] is not None:
+                    grads[0] += np.multiply(d_q, query_row, out=term)
+            for z, gz in zip(values, grads):
+                if gz is not None:
+                    _accum(z, gz, own=True)
 
         tape.record(out, backward)
-    return out
-
-
-def slice_cols(x: GradMatrix, start: int, stop: int) -> GradMatrix:
-    tape = x.tape
-    out = GradMatrix(x.value[:, start:stop].copy(), tape)
-    if tape is not None:
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(x.value)
-            full[:, start:stop] = g
-            _accum(x, full, own=True)
-
-        tape.record(out, backward)
-    return out
+    return out, att
 
 
 def row_select(x: GradMatrix, idx: np.ndarray) -> GradMatrix:
@@ -277,13 +367,18 @@ def dropout(
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(x.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+    out_val = np.multiply(x.value, keep)
+    out_val *= scale
     tape = x.tape
-    out = GradMatrix(x.value * mask, tape)
+    out = GradMatrix(out_val, tape)
     if tape is not None:
 
         def backward(g: np.ndarray) -> None:
-            _accum(x, g * mask, own=True)
+            gx = np.multiply(g, keep)
+            gx *= scale
+            _accum(x, gx, own=True)
 
         tape.record(out, backward)
     return out

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rng_mod
-from .autodiff import Tape
 from .datagen import GenSpec, dblp_spec, generate, with_splits
 from .graph import HinGraph
-from .model import forward, normalized_adjacency
-from .train import AdamState, TrainConfig, adam_step, build_params, cross_entropy_loss
+from .model import normalized_adjacency
+from .train import AdamState, TrainConfig, build_params, train_step
 
 
 @dataclass
@@ -118,23 +116,10 @@ def default_scale_specs(seed: int = 0, n_scales: int = 6) -> list[GenSpec]:
     return [dblp_spec(235 * 2**i, seed=seed, noise=0.05) for i in range(n_scales)]
 
 
-def _timed_epoch(g: HinGraph, params, named, adam, cfg: TrainConfig, norm_adj, epoch: int) -> float:
+def _timed_epoch(g: HinGraph, params, adam, cfg: TrainConfig, norm_adj, epoch: int) -> float:
     train_idx = {t: g.splits[t]["train"] for t in g.splits}
     t0 = time.perf_counter()
-    tape = Tape()
-    params.attach(tape)
-    h, _ = forward(
-        params,
-        g,
-        mode="train",
-        rng=rng_mod.stream(cfg.seed, "dropout", epoch),
-        dropout_rate=cfg.dropout_rate,
-        norm_adj=norm_adj,
-    )
-    loss = cross_entropy_loss(h, g.labels, train_idx)
-    tape.backward(loss)
-    adam_step(named, adam, cfg.learning_rate, cfg.l2_weight)
-    params.attach(None)
+    train_step(g, params, adam, cfg, train_idx, norm_adj, epoch)
     return time.perf_counter() - t0
 
 
@@ -163,11 +148,10 @@ def run_scaling(
             g = with_splits(generate(spec), train_fraction, seed=spec.seed)
             norm_adj = normalized_adjacency(g)
             params = build_params(g, cfg)
-            named = params.named()
-            adam = AdamState.for_params(named)
-            _timed_epoch(g, params, named, adam, cfg, norm_adj, epoch=0)  # warmup
+            adam = AdamState.for_params(params.named())
+            _timed_epoch(g, params, adam, cfg, norm_adj, epoch=0)  # warmup
             times = [
-                _timed_epoch(g, params, named, adam, cfg, norm_adj, epoch=e)
+                _timed_epoch(g, params, adam, cfg, norm_adj, epoch=e)
                 for e in range(1, repeats + 1)
             ]
         except MemoryError:

@@ -42,6 +42,8 @@ def _pin_threads() -> int:
     raw = os.environ.get("HETCONV_THREADS")
     if not raw:
         return 0
+    if not raw.isdecimal() or int(raw) < 1:
+        raise UsageError(f"HETCONV_THREADS must be a positive integer, got {raw!r}")
     n = int(raw)
     try:
         import threadpoolctl
@@ -414,13 +416,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _pin_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _pin_threads()
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

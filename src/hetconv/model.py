@@ -24,16 +24,12 @@ from . import rng as rng_mod
 from .autodiff import (
     GradMatrix,
     Tape,
-    add,
-    concat_cols,
+    attend,
     constant,
     dropout,
     elu,
     matmul,
-    mul,
     row_select,
-    slice_cols,
-    softmax_rows,
     spmm,
     xavier_uniform,
 )
@@ -162,20 +158,40 @@ def init_params(
     return ModelParams(layers=layers, dims=dims, d_a=d_a, mean_variant=mean_variant)
 
 
-def project(
+def aggregates_first(adj: SparseAdj, d_in: int, d_out: int) -> bool:
+    """Whether ``(A H) W`` needs fewer multiply-adds than ``A (H W)``.
+
+    ``A (H W)`` projects every source object, n_src * d_in * d_out, then
+    aggregates at the output width, nnz * d_out. ``(A H) W`` aggregates at
+    the input width, nnz * d_in, then projects only the target rows,
+    n_tgt * d_in * d_out. Both give the same product up to rounding; a tie
+    keeps ``A (H W)``.
+    """
+    project_first = adj.n_cols * d_in * d_out + adj.nnz * d_out
+    aggregate_first = adj.nnz * d_in + adj.n_rows * d_in * d_out
+    return aggregate_first < project_first
+
+
+def hetero_conv(
     block: BlockParams,
     h_self: GradMatrix,
     h_neigh: Mapping[str, GradMatrix],
+    adj_norm: Mapping[str, SparseAdj],
 ) -> tuple[GradMatrix, dict[str, GradMatrix]]:
-    """Map the block's own and each neighbor type's representations into
-    the block's common space."""
+    """Project the block's own representation, and project and average each
+    neighbor type's objects through the row-normalized adjacency.
+
+    Each relation's product ``adj_norm[gamma] @ h_neigh[gamma] @ w_rel[gamma]``
+    is associated in whichever order ``aggregates_first`` finds cheaper.
+    A nonzero adjacency row sum off 1 by more than 1e-6 is an error.
+    """
     if h_self.shape[1] != block.w_self.shape[0]:
         raise ValueError(
             f"self projection expects width {block.w_self.shape[0]}, "
             f"got {h_self.shape[1]}"
         )
-    y_self = matmul(h_self, block.w_self)
-    y_gamma: dict[str, GradMatrix] = {}
+    z_self = matmul(h_self, block.w_self)
+    z_gamma: dict[str, GradMatrix] = {}
     for gamma, w in block.w_rel.items():
         h = h_neigh[gamma]
         if h.shape[1] != w.shape[0]:
@@ -183,22 +199,6 @@ def project(
                 f"projection for relation from {gamma} expects width "
                 f"{w.shape[0]}, got {h.shape[1]}"
             )
-        y_gamma[gamma] = matmul(h, w)
-    return y_self, y_gamma
-
-
-def hetero_conv(
-    y_self: GradMatrix,
-    y_gamma: Mapping[str, GradMatrix],
-    adj_norm: Mapping[str, SparseAdj],
-) -> tuple[GradMatrix, dict[str, GradMatrix]]:
-    """Object-level aggregation: average projected neighbors per relation.
-
-    The self term passes through unchanged. Each adjacency must already be
-    row-normalized; a nonzero row sum off 1 by more than 1e-6 is an error.
-    """
-    z_gamma: dict[str, GradMatrix] = {}
-    for gamma, y in y_gamma.items():
         a = adj_norm[gamma]
         sums = a.row_sums()
         nonzero = sums > 0
@@ -206,8 +206,11 @@ def hetero_conv(
             raise ValueError(
                 f"adjacency for neighbor type {gamma} is not row-normalized"
             )
-        z_gamma[gamma] = spmm(a, y)
-    return y_self, z_gamma
+        if aggregates_first(a, *w.shape):
+            z_gamma[gamma] = matmul(spmm(a, h), w)
+        else:
+            z_gamma[gamma] = spmm(a, matmul(h, w))
+    return z_self, z_gamma
 
 
 def type_attention(
@@ -226,10 +229,8 @@ def type_attention(
     and the attention parameters are ignored.
     """
     values = [z_self] + [z_gamma[g] for g in neighbor_order]
-    n = z_self.shape[0]
-    k = len(values)
     if mean_variant:
-        att = constant(np.full((n, k), 1.0 / k))
+        mixed, att = attend(values)
     else:
         # the logit of [key || query] against w_a splits into two dot
         # products; folding w_a's halves into the key/query maps first
@@ -237,18 +238,8 @@ def type_attention(
         d_a = block.w_q.shape[1]
         key_map = matmul(block.w_k, row_select(block.w_a, np.arange(d_a)))
         query_map = matmul(block.w_q, row_select(block.w_a, np.arange(d_a, 2 * d_a)))
-        q_score = matmul(z_self, query_map)
-        logits = None
-        for z in values:
-            e = elu(add(matmul(z, key_map), q_score))
-            logits = e if logits is None else concat_cols(logits, e)
-        att = softmax_rows(logits)
-    mixed = None
-    for j, z in enumerate(values):
-        term = mul(slice_cols(att, j, j + 1), z)
-        mixed = term if mixed is None else add(mixed, term)
-    h_new = elu(mixed)
-    return BlockOutput(h_new=h_new, attention=att.value.copy())
+        mixed, att = attend(values, key_map, query_map)
+    return BlockOutput(h_new=elu(mixed), attention=att)
 
 
 def normalized_adjacency(g: HinGraph) -> dict[Relation, SparseAdj]:
@@ -296,10 +287,10 @@ def forward(
         for omega in g.schema.object_types:
             neighbors = g.schema.neighbor_types(omega)
             try:
-                y_self, y_gamma = project(blocks[omega], h[omega], h)
                 z_self, z_gamma = hetero_conv(
-                    y_self,
-                    y_gamma,
+                    blocks[omega],
+                    h[omega],
+                    h,
                     {gm: norm_adj[(gm, omega)] for gm in neighbors},
                 )
                 out = type_attention(
@@ -362,7 +353,7 @@ def spectral_equivalence_check(
 
     # model route: per-relation projection + object-level aggregation
     def conv(h_tgt, h_src, adj):
-        y_self, y_gamma = project(
+        z_self, z_gamma = hetero_conv(
             BlockParams(
                 w_self=constant(theta0[: h_tgt.shape[1]]),
                 w_rel={"src": constant(theta1[: h_src.shape[1]])},
@@ -372,8 +363,8 @@ def spectral_equivalence_check(
             ),
             constant(h_tgt),
             {"src": constant(h_src)},
+            {"src": row_normalize(adj)},
         )
-        z_self, z_gamma = hetero_conv(y_self, y_gamma, {"src": row_normalize(adj)})
         return z_self.value + z_gamma["src"].value
 
     out_omega = conv(h_omega, h_gamma, adj_omega_gamma)

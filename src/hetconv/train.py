@@ -20,7 +20,7 @@ from .autodiff import (
     mul,
     row_select,
 )
-from .graph import HinGraph, validate_graph
+from .graph import HinGraph, Relation, SparseAdj, validate_graph
 from .model import ModelParams, clone_with, forward, init_params, normalized_adjacency
 
 
@@ -233,6 +233,38 @@ def model_loss_gradcheck(
     return gradcheck(f, values, h=h, tol=tol)
 
 
+def train_step(
+    g: HinGraph,
+    params: ModelParams,
+    adam: AdamState,
+    cfg: TrainConfig,
+    train_idx: Mapping[str, np.ndarray],
+    norm_adj: Mapping[Relation, SparseAdj],
+    epoch: int,
+) -> float:
+    """One optimization step: train-mode forward on the whole graph, the
+    weighted loss over ``train_idx``, backward, Adam. Returns the loss.
+
+    The dropout masks come from the stream of ``(cfg.seed, epoch)``, so a
+    step is reproducible from its epoch number alone.
+    """
+    tape = Tape()
+    params.attach(tape)
+    h, _ = forward(
+        params,
+        g,
+        mode="train",
+        rng=rng_mod.stream(cfg.seed, "dropout", epoch),
+        dropout_rate=cfg.dropout_rate,
+        norm_adj=norm_adj,
+    )
+    loss = cross_entropy_loss(h, g.labels, train_idx, cfg.loss_weights)
+    tape.backward(loss)
+    adam_step(params.named(), adam, cfg.learning_rate, cfg.l2_weight)
+    params.attach(None)
+    return float(loss.value[0, 0])
+
+
 def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     """Train with Adam and early stopping on validation micro F1.
 
@@ -263,25 +295,12 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
-        tape = Tape()
-        params.attach(tape)
-        h, _ = forward(
-            params,
-            g,
-            mode="train",
-            rng=rng_mod.stream(cfg.seed, "dropout", epoch),
-            dropout_rate=cfg.dropout_rate,
-            norm_adj=norm_adj,
-        )
-        loss = cross_entropy_loss(h, g.labels, train_idx, cfg.loss_weights)
-        tape.backward(loss)
-        adam_step(named, adam, cfg.learning_rate, cfg.l2_weight)
-        params.attach(None)
+        loss = train_step(g, params, adam, cfg, train_idx, norm_adj, epoch)
         val_metrics = evaluate(params, g, val_idx, norm_adj=norm_adj) if val_idx else {}
-        score = _val_score(val_metrics) if val_metrics else -float(loss.value[0, 0])
+        score = _val_score(val_metrics) if val_metrics else -loss
         record = {
             "epoch": epoch,
-            "train_loss": float(loss.value[0, 0]),
+            "train_loss": loss,
             "val_micro_f1": _val_score(val_metrics) if val_metrics else None,
             "val_macro_f1": float(
                 np.mean([m["macro_f1"] for m in val_metrics.values()])

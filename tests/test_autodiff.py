@@ -8,7 +8,7 @@ from hetconv.autodiff import (
     GradMatrix,
     Tape,
     add,
-    concat_cols,
+    attend,
     constant,
     cross_entropy_rows,
     dropout,
@@ -17,7 +17,6 @@ from hetconv.autodiff import (
     matmul,
     mul,
     row_select,
-    slice_cols,
     softmax_rows,
     spmm,
     sum_all,
@@ -57,6 +56,20 @@ class TestMatmul:
             lambda p: sum_all(elu(matmul(p["a"], p["b"]))),
             {"a": (3, 4), "b": (4, 2)},
         )
+
+    def test_untracked_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(1)
+        x, w = rng.normal(size=(5, 4)), rng.normal(size=(4, 3))
+        grads = {}
+        for tracked in ("both", "w"):
+            tape = Tape()
+            a = GradMatrix(x, tape if tracked == "both" else None)
+            b = GradMatrix(w, tape)
+            tape.backward(sum_all(elu(matmul(a, b))))
+            grads[tracked] = b.grad
+            if tracked == "w":
+                assert a.grad is None
+        assert np.array_equal(grads["both"], grads["w"])
 
 
 class TestSpmm:
@@ -134,29 +147,80 @@ class TestSoftmaxRows:
         )
 
 
-class TestConcatSlice:
-    def test_round_trip(self):
-        a, b = np.ones((3, 2)), np.zeros((3, 5))
-        joined = concat_cols(constant(a), constant(b))
-        assert joined.shape == (3, 7)
-        assert np.array_equal(slice_cols(joined, 0, 2).value, a)
-        assert np.array_equal(slice_cols(joined, 2, 7).value, b)
+class TestAttend:
+    def _dense(self, zs, key, query):
+        pre = np.hstack([z @ key for z in zs]) + zs[0] @ query
+        logits = np.where(pre > 0, pre, np.expm1(np.minimum(pre, 0)))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        att = e / e.sum(axis=1, keepdims=True)
+        return sum(att[:, j : j + 1] * z for j, z in enumerate(zs)), att
 
-    def test_row_mismatch(self):
-        with pytest.raises(ValueError, match="row mismatch"):
-            concat_cols(constant(np.ones((2, 1))), constant(np.ones((3, 1))))
+    def test_matches_dense_formula(self):
+        rng = np.random.default_rng(20)
+        zs = [rng.normal(size=(6, 3)) for _ in range(3)]
+        key, query = rng.normal(size=(3, 1)), rng.normal(size=(3, 1))
+        mixed, att = attend([constant(z) for z in zs], constant(key), constant(query))
+        want_mixed, want_att = self._dense(zs, key, query)
+        assert np.abs(mixed.value - want_mixed).max() < 1e-12
+        assert np.abs(att - want_att).max() < 1e-12
 
-    def test_gradient_splits(self):
-        weights = np.arange(15.0).reshape(3, 5)
+    def test_uniform_without_maps(self):
+        zs = [np.full((2, 2), 1.0), np.full((2, 2), 4.0)]
+        mixed, att = attend([constant(z) for z in zs])
+        assert np.all(att == 0.5)
+        assert np.all(mixed.value == 2.5)
+
+    def test_bad_operands_rejected(self):
+        z = constant(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="differ in shape"):
+            attend([z, constant(np.ones((2, 2)))])
+        with pytest.raises(ValueError, match="or neither"):
+            attend([z, z], constant(np.ones((3, 1))))
+        with pytest.raises(ValueError, match=r"\(3, 1\)"):
+            attend([z, z], constant(np.ones((2, 1))), constant(np.ones((2, 1))))
+
+    def test_gradient_attention(self):
+        weights = constant(np.random.default_rng(21).normal(size=(4, 3)))
         fd_check(
-            lambda p: sum_all(mul(concat_cols(p["a"], p["b"]), constant(weights))),
-            {"a": (3, 2), "b": (3, 3)},
-            seed=7,
+            lambda p: sum_all(mul(attend([p["z0"], p["z1"], p["z2"]], p["k"], p["q"])[0], weights)),
+            {"z0": (4, 3), "z1": (4, 3), "z2": (4, 3), "k": (3, 1), "q": (3, 1)},
+            seed=22,
+            tol=1e-4,
         )
 
-    def test_slice_gradient(self):
+    def test_gradient_uniform(self):
+        weights = constant(np.random.default_rng(23).normal(size=(4, 3)))
         fd_check(
-            lambda p: sum_all(elu(slice_cols(p["x"], 1, 3))), {"x": (4, 5)}, seed=8
+            lambda p: sum_all(mul(attend([p["z0"], p["z1"]])[0], weights)),
+            {"z0": (4, 3), "z1": (4, 3)},
+            seed=24,
+            tol=1e-4,
+        )
+
+    def test_gradient_with_untracked_candidates(self):
+        rng = np.random.default_rng(25)
+        fixed = [constant(rng.normal(size=(4, 3))) for _ in range(2)]
+        fd_check(
+            lambda p: sum_all(elu(attend([fixed[0], p["z1"], fixed[1]], p["k"], p["q"])[0])),
+            {"z1": (4, 3), "k": (3, 1), "q": (3, 1)},
+            seed=26,
+            tol=1e-4,
+        )
+        fd_check(
+            lambda p: sum_all(elu(attend([p["z0"], fixed[0]], p["k"], p["q"])[0])),
+            {"z0": (4, 3), "k": (3, 1), "q": (3, 1)},
+            seed=27,
+            tol=1e-4,
+        )
+
+    def test_gradient_with_untracked_maps(self):
+        rng = np.random.default_rng(28)
+        key, query = constant(rng.normal(size=(3, 1))), constant(rng.normal(size=(3, 1)))
+        fd_check(
+            lambda p: sum_all(elu(attend([p["z0"], p["z1"], p["z2"]], key, query)[0])),
+            {"z0": (4, 3), "z1": (4, 3), "z2": (4, 3)},
+            seed=29,
+            tol=1e-4,
         )
 
 

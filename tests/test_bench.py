@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from hetconv.bench import BenchReport, ScaleResult, default_scale_specs, run_scaling
+from hetconv.bench import BenchReport, ScaleResult, _timed_epoch, default_scale_specs, run_scaling
 from hetconv.datagen import GenSpec
-from hetconv.train import TrainConfig
+from hetconv.model import normalized_adjacency
+from hetconv.train import AdamState, TrainConfig, build_params
 
 
 def tiny_specs(n=5, seed=0):
@@ -87,6 +88,20 @@ class TestBenchReportInvariants:
                 slope=0.0, intercept=0.0, r_squared=1.0,
                 ratios=[], repeats=2, threads=1, failures=[],
             )
+
+
+def test_timed_epoch_trains_on_the_fit_loss(toy_graph):
+    # a zero loss weight leaves nothing to learn: without l2 the epoch
+    # must not move any parameter
+    cfg = TrainConfig(
+        layer_widths=(3, 2), d_a=2, seed=0, l2_weight=0.0, loss_weights={"B": 0.0}
+    )
+    params = build_params(toy_graph, cfg)
+    before = {k: p.value.copy() for k, p in params.named().items()}
+    adam = AdamState.for_params(params.named())
+    _timed_epoch(toy_graph, params, adam, cfg, normalized_adjacency(toy_graph), epoch=1)
+    for k, p in params.named().items():
+        assert np.array_equal(p.value, before[k])
 
 
 def test_default_scale_specs_cover_ten_x():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,20 @@ class TestUsageErrors:
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+
+    def test_bad_thread_count_exits_one(self, data_dir):
+        # a fresh interpreter, so an uncaught error would print its traceback
+        env = dict(os.environ, HETCONV_THREADS="x")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "hetconv.cli", "verify", "--data", str(data_dir)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_USAGE
+        assert "HETCONV_THREADS" in proc.stderr and "'x'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestGenerate:

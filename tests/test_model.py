@@ -1,23 +1,25 @@
 import numpy as np
 import pytest
 
-from hetconv.autodiff import GradMatrix, constant
+from hetconv.autodiff import GradMatrix, Tape, constant, matmul, spmm
 from hetconv.graph import HinGraph, Schema, SparseAdj, row_normalize
 from hetconv.model import (
     BlockOutput,
     BlockParams,
+    aggregates_first,
     forward,
     hetero_conv,
     init_params,
     load_model,
-    project,
     save_model,
     schema_hash,
     spectral_equivalence_check,
     spectral_equivalence_on_graph,
     type_attention,
 )
-from hetconv.train import TrainConfig, build_params
+from hetconv.train import TrainConfig, build_params, model_loss_gradcheck
+
+from conftest import bipartite_graph
 
 
 # --- independent dense re-derivation of the layer formulas ----------------
@@ -65,33 +67,38 @@ def toy_params(g, widths=(3, 2), d_a=2, seed=0, mean_variant=False):
     return build_params(g, cfg)
 
 
+def identity_adj(n):
+    return SparseAdj.from_edges(n, n, np.arange(n), np.arange(n))
+
+
+def conv_block(w_self, w_rel):
+    return BlockParams(
+        w_self=constant(w_self),
+        w_rel={gamma: constant(w) for gamma, w in w_rel.items()},
+        w_q=constant(np.zeros((w_self.shape[1], 2))),
+        w_k=constant(np.zeros((w_self.shape[1], 2))),
+        w_a=constant(np.zeros((4, 1))),
+    )
+
+
 class TestProject:
     def test_identity_weights_pass_through(self, toy_graph):
         h = constant(toy_graph.features["B"])
-        block = BlockParams(
-            w_self=constant(np.eye(3)),
-            w_rel={"A": constant(np.zeros((2, 3)))},
-            w_q=constant(np.zeros((3, 2))),
-            w_k=constant(np.zeros((3, 2))),
-            w_a=constant(np.zeros((4, 1))),
+        block = conv_block(np.eye(3), {"A": np.zeros((2, 3))})
+        z_self, z_gamma = hetero_conv(
+            block, h, {"A": constant(toy_graph.features["A"])}, {"A": identity_adj(3)}
         )
-        y_self, y_gamma = project(block, h, {"A": constant(toy_graph.features["A"])})
-        assert np.array_equal(y_self.value, toy_graph.features["B"])
-        assert np.all(y_gamma["A"].value == 0.0)
+        assert np.array_equal(z_self.value, toy_graph.features["B"])
+        assert np.all(z_gamma["A"].value == 0.0)
 
     def test_rel_mismatch_names_relation(self, toy_graph):
-        block = BlockParams(
-            w_self=constant(np.eye(3)),
-            w_rel={"A": constant(np.zeros((5, 3)))},
-            w_q=constant(np.zeros((3, 2))),
-            w_k=constant(np.zeros((3, 2))),
-            w_a=constant(np.zeros((4, 1))),
-        )
+        block = conv_block(np.eye(3), {"A": np.zeros((5, 3))})
         with pytest.raises(ValueError, match="from A"):
-            project(
+            hetero_conv(
                 block,
                 constant(toy_graph.features["B"]),
                 {"A": constant(toy_graph.features["A"])},
+                {"A": identity_adj(3)},
             )
 
     def test_dblp_paper_block_has_four_projections(self, dblp_schema):
@@ -101,23 +108,25 @@ class TestProject:
         block = params.layers[0]["P"]
         assert set(block.w_rel) == {"C", "A", "T"}
         h = {t: constant(np.random.default_rng(0).normal(size=(5, 4))) for t in dblp_schema.object_types}
-        y_self, y_gamma = project(block, h["P"], h)
-        assert y_self.shape == (5, 3)
-        assert sorted(y_gamma) == ["A", "C", "T"]
+        z_self, z_gamma = hetero_conv(block, h["P"], h, {g: identity_adj(5) for g in block.w_rel})
+        assert z_self.shape == (5, 3)
+        assert sorted(z_gamma) == ["A", "C", "T"]
 
 
 class TestHeteroConv:
     def test_single_neighbor_copies_projection(self):
         a_hat = row_normalize(SparseAdj.from_edges(2, 3, [0, 1], [2, 0], [1.0, 1.0]))
         y = constant(np.arange(6.0).reshape(3, 2))
-        z_self, z = hetero_conv(constant(np.zeros((2, 2))), {"X": y}, {"X": a_hat})
+        block = conv_block(np.eye(2), {"X": np.eye(2)})
+        z_self, z = hetero_conv(block, constant(np.zeros((2, 2))), {"X": y}, {"X": a_hat})
         assert np.array_equal(z["X"].value[0], y.value[2])
         assert np.array_equal(z["X"].value[1], y.value[0])
 
     def test_two_equal_neighbors_average(self):
         a_hat = row_normalize(SparseAdj.from_edges(1, 2, [0, 0], [0, 1], [1.0, 1.0]))
         y = constant(np.array([[2.0], [4.0]]))
-        _, z = hetero_conv(constant(np.zeros((1, 1))), {"X": y}, {"X": a_hat})
+        block = conv_block(np.eye(1), {"X": np.eye(1)})
+        _, z = hetero_conv(block, constant(np.zeros((1, 1))), {"X": y}, {"X": a_hat})
         assert z["X"].value[0, 0] == pytest.approx(3.0)
 
     def test_matches_dense_oracle(self):
@@ -126,15 +135,51 @@ class TestHeteroConv:
         rows, cols = np.nonzero(dense)
         a_hat = row_normalize(SparseAdj.from_edges(4, 4, rows, cols, dense[rows, cols]))
         y = rng.normal(size=(4, 3))
-        _, z = hetero_conv(
-            constant(np.zeros((4, 3))), {"X": constant(y)}, {"X": a_hat}
-        )
-        assert np.abs(z["X"].value - a_hat.to_dense() @ y).max() < 1e-12
+        w = rng.normal(size=(3, 2))
+        block = conv_block(np.eye(3, 2), {"X": w})
+        _, z = hetero_conv(block, constant(np.zeros((4, 3))), {"X": constant(y)}, {"X": a_hat})
+        assert np.abs(z["X"].value - a_hat.to_dense() @ y @ w).max() < 1e-12
 
     def test_unnormalized_adjacency_rejected(self):
         raw = SparseAdj.from_edges(1, 2, [0, 0], [0, 1], [1.0, 3.0])
+        block = conv_block(np.eye(1), {"X": np.eye(1)})
         with pytest.raises(ValueError, match="row-normalized"):
-            hetero_conv(constant(np.zeros((1, 1))), {"X": constant(np.zeros((2, 1)))}, {"X": raw})
+            hetero_conv(block, constant(np.zeros((1, 1))), {"X": constant(np.zeros((2, 1)))}, {"X": raw})
+
+
+class TestAggregationOrder:
+    """30 A objects and 3 B objects: B's few rows make averaging first
+    cheaper for A -> B, A's many rows make projecting first cheaper for
+    B -> A."""
+
+    @pytest.fixture
+    def graph(self):
+        return bipartite_graph(30, 3, 5, 5, seed=2, edge_prob=0.5)
+
+    def test_costs_follow_shapes(self):
+        # C <- P at layer 2 of dblp_spec(7520): 29,140 papers, one
+        # conference each, 128 -> 64 wide; 20 conferences
+        adj = SparseAdj.from_edges(20, 29140, np.arange(29140) % 20, np.arange(29140))
+        assert aggregates_first(adj, 128, 64)
+        assert not aggregates_first(identity_adj(50), 8, 8)  # a tie keeps A (H W)
+
+    def test_relations_pick_different_orders_and_agree(self, graph):
+        params = toy_params(graph, widths=(3, 2), seed=1)
+        norm = {rel: row_normalize(a) for rel, a in graph.adjacency.items()}
+        h = {t: constant(f) for t, f in graph.features.items()}
+        picked = set()
+        for omega, gamma in (("B", "A"), ("A", "B")):
+            block = params.layers[0][omega]
+            a, w = norm[(gamma, omega)], block.w_rel[gamma]
+            picked.add(aggregates_first(a, *w.shape))
+            _, z = hetero_conv(block, h[omega], h, {gamma: a})
+            project_first = spmm(a, matmul(h[gamma], w)).value
+            aggregate_first = matmul(spmm(a, h[gamma]), w).value
+            assert np.abs(project_first - aggregate_first).max() < 1e-12
+            assert np.abs(z[gamma].value - project_first).max() < 1e-12
+        assert picked == {True, False}
+        report = model_loss_gradcheck(graph, TrainConfig(layer_widths=(3, 2), d_a=2, seed=1))
+        assert report.passed, f"max rel err {report.max_rel_err:.2e}"
 
 
 class TestTypeAttention:
@@ -177,6 +222,21 @@ class TestTypeAttention:
         attn = type_attention(block, z_self, z_g, ["X", "Y"], mean_variant=False)
         mean = type_attention(block, z_self, z_g, ["X", "Y"], mean_variant=True)
         assert np.abs(attn.h_new.value - mean.h_new.value).max() < 1e-10
+
+    def test_block_forward_tape_records(self, dblp_schema):
+        # P has three neighbor types: a self product, two records per
+        # relation, and six for attention (two row selections and two
+        # products for the key/query maps, attend, the output ELU)
+        params = init_params(dblp_schema, {t: 4 for t in dblp_schema.object_types}, [3], d_a=2, seed=0)
+        tape = Tape()
+        params.attach(tape)
+        block = params.layers[0]["P"]
+        rng = np.random.default_rng(0)
+        h = {t: GradMatrix(rng.normal(size=(5, 4)), tape) for t in dblp_schema.object_types}
+        order = dblp_schema.neighbor_types("P")
+        z_self, z_gamma = hetero_conv(block, h["P"], h, {g: identity_adj(5) for g in order})
+        type_attention(block, z_self, z_gamma, order)
+        assert len(tape._records) == 13
 
     def test_invalid_attention_rejected(self):
         with pytest.raises(ValueError, match="probability"):

@@ -11,8 +11,10 @@ from hetconv.train import (
     classification_metrics,
     cross_entropy_loss,
     evaluate,
+    build_params,
     fit,
     model_loss_gradcheck,
+    train_step,
 )
 
 
@@ -214,6 +216,19 @@ class TestFit:
         for name, p in p1.named().items():
             assert np.array_equal(p.value, p2.named()[name].value)
         assert [r["train_loss"] for r in log1] == [r["train_loss"] for r in log2]
+
+    def test_train_step_applies_loss_weights(self, toy_graph):
+        from hetconv.model import normalized_adjacency
+
+        norm_adj = normalized_adjacency(toy_graph)
+        train_idx = {"B": toy_graph.splits["B"]["train"]}
+        losses = []
+        for weights in (None, {"B": 2.0}):
+            cfg = TrainConfig(layer_widths=(3, 2), d_a=2, seed=0, loss_weights=weights)
+            params = build_params(toy_graph, cfg)
+            adam = AdamState.for_params(params.named())
+            losses.append(train_step(toy_graph, params, adam, cfg, train_idx, norm_adj, epoch=1))
+        assert losses[1] == pytest.approx(2.0 * losses[0], rel=1e-12)
 
     def test_no_labels_error(self, toy_graph):
         from dataclasses import replace
