@@ -7,9 +7,9 @@ jump. Prints one row per depth with test micro/macro F1.
 """
 
 import argparse
-import json
 
 from hetconv.datagen import DegreeSpec, EdgeSpec, GenSpec, generate, with_splits
+from hetconv.io import write_json
 from hetconv.train import TrainConfig, evaluate, fit
 
 WIDTH_LADDER = [64, 64, 64, 64, 32, 16, 8]  # deepest models prepend more 64s
@@ -60,8 +60,7 @@ def main() -> None:
         print(f"{depth:>5} {len(log):>7} {m['micro_f1']:>9.4f} {m['macro_f1']:>9.4f}")
         rows.append({"depth": depth, "epochs": len(log), **m})
     if args.out:
-        with open(args.out, "w") as f:
-            json.dump(rows, f, indent=2)
+        write_json(args.out, rows)
 
 
 if __name__ == "__main__":

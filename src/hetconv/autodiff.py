@@ -1,9 +1,9 @@
 """Dense kernels and a minimal reverse-mode tape.
 
 The tape is closed-world: it records exactly the primitives the model
-needs (dense and sparse products, ELU, row softmax, fused type attention,
-dropout, row selection, elementwise add/mul, total sum, cross-entropy) and
-nothing else. All values are 2-D float64 arrays; a scalar is a 1x1 matrix.
+needs (dense and sparse products, ELU, fused type attention, dropout,
+row selection, elementwise add/mul, total sum, cross-entropy) and nothing
+else. All values are 2-D float64 arrays; a scalar is a 1x1 matrix.
 
 A ``GradMatrix`` is tracked when it carries a tape reference. Operations
 record a backward closure when any input is tracked; ``Tape.backward``
@@ -135,18 +135,6 @@ def _accum(x: GradMatrix, g: np.ndarray, own: bool = False) -> None:
         x.grad += g
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    if g.shape == shape:
-        return g
-    out = g
-    if shape[0] == 1 and g.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
 def matmul(a: GradMatrix, b: GradMatrix) -> GradMatrix:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
@@ -183,31 +171,36 @@ def spmm(a: SparseAdj, b: GradMatrix) -> GradMatrix:
     return out
 
 
+def _same_shape(op: str, a: GradMatrix, b: GradMatrix) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"{op} needs operands of one shape: {a.shape} vs {b.shape}")
+
+
 def add(a: GradMatrix, b: GradMatrix) -> GradMatrix:
+    _same_shape("add", a, b)
     tape = _tape_of(a, b)
     out = GradMatrix(a.value + b.value, tape)
     if tape is not None:
 
         def backward(g: np.ndarray) -> None:
-            ga = _reduce_to(g, a.shape)
-            _accum(a, ga, own=ga is not g)
-            gb = _reduce_to(g, b.shape)
-            _accum(b, gb, own=gb is not g)
+            _accum(a, g)
+            _accum(b, g)
 
         tape.record(out, backward)
     return out
 
 
 def mul(a: GradMatrix, b: GradMatrix) -> GradMatrix:
-    """Elementwise product; operands may broadcast along either axis."""
+    """Elementwise product of two same-shape operands."""
+    _same_shape("mul", a, b)
     tape = _tape_of(a, b)
     out = GradMatrix(a.value * b.value, tape)
     if tape is not None:
         av, bv = a.value, b.value
 
         def backward(g: np.ndarray) -> None:
-            _accum(a, _reduce_to(g * bv, a.shape), own=True)
-            _accum(b, _reduce_to(g * av, b.shape), own=True)
+            _accum(a, g * bv, own=True)
+            _accum(b, g * av, own=True)
 
         tape.record(out, backward)
     return out
@@ -230,22 +223,6 @@ def elu(x: GradMatrix) -> GradMatrix:
             slope += 1.0
             slope *= g
             _accum(x, slope, own=True)
-
-        tape.record(out, backward)
-    return out
-
-
-def softmax_rows(x: GradMatrix) -> GradMatrix:
-    """Row-wise softmax, stabilized by per-row max subtraction."""
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    tape = x.tape
-    out = GradMatrix(s, tape)
-    if tape is not None:
-
-        def backward(g: np.ndarray) -> None:
-            _accum(x, s * (g - (g * s).sum(axis=1, keepdims=True)), own=True)
 
         tape.record(out, backward)
     return out

@@ -66,12 +66,25 @@ def _load_graph(path: str):
 
     try:
         g = load_graph(path)
-    except (FileNotFoundError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError) as err:
         raise DataError(str(err)) from err
     problems = validate_graph(g)
     if problems:
         raise DataError("graph validation failed:\n  " + "\n  ".join(problems))
     return g
+
+
+def _load_model(path: str, g):
+    """A checkpoint's parameters, checked against the graph's schema."""
+    from .model import load_model, schema_hash
+
+    try:
+        params, schema = load_model(path)
+    except (OSError, ValueError, KeyError) as err:
+        raise DataError(f"bad checkpoint {path}: {err}") from err
+    if schema_hash(schema) != schema_hash(g.schema):
+        raise DataError("schema hash mismatch between checkpoint and data")
+    return params
 
 
 def _train_config(config_path: str | None, seed: int | None):
@@ -146,13 +159,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .io import write_json
-    from .model import load_model, schema_hash
     from .train import evaluate
 
     g = _load_graph(args.data)
-    params, schema = load_model(args.model)
-    if schema_hash(schema) != schema_hash(g.schema):
-        raise DataError("schema hash mismatch between checkpoint and data")
+    params = _load_model(args.model, g)
     try:
         metrics = evaluate(params, g, args.split)
     except (KeyError, ValueError) as err:
@@ -173,7 +183,7 @@ def cmd_explain(args) -> int:
         summary_from_json,
     )
     from .io import atomic_write_text, write_json
-    from .model import forward, load_model, schema_hash
+    from .model import forward
 
     records = None
     g = None
@@ -186,11 +196,10 @@ def cmd_explain(args) -> int:
         schema = summary.schema
     elif args.model and args.data:
         g = _load_graph(args.data)
-        params, schema = load_model(args.model)
-        if schema_hash(schema) != schema_hash(g.schema):
-            raise DataError("schema hash mismatch between checkpoint and data")
+        params = _load_model(args.model, g)
+        schema = g.schema
         _, records = forward(params, g, mode="eval")
-        summary = summarize_attention(records, g.schema)
+        summary = summarize_attention(records, schema)
     else:
         raise UsageError("explain needs either --summary or both --model and --data")
     if args.target not in schema.object_types:
@@ -311,7 +320,7 @@ def cmd_verify(args) -> int:
 
     try:
         g = load_graph(args.data)
-    except (FileNotFoundError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError) as err:
         raise DataError(str(err)) from err
     failed = False
     problems = validate_graph(g)

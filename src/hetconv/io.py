@@ -13,22 +13,33 @@ leave a corrupt artifact behind.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .graph import HinGraph, Schema, SparseAdj
 
+# Rows formatted per write, so that a file's text is never held in memory
+# whole.
+_BLOCK_ROWS = 256
 
-def atomic_write_text(path: Path | str, text: str) -> None:
+_EDGE_DTYPE = np.dtype([("src", "i8"), ("dst", "i8"), ("weight", "f8")])
+_LABEL_DTYPE = np.dtype([("index", "i8"), ("cls", "i8")])
+
+
+@contextlib.contextmanager
+def _atomic_open(path: Path | str):
+    """A text file that replaces ``path`` only once the block exits cleanly."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -36,30 +47,47 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: Path | str, text: str) -> None:
+    with _atomic_open(path) as f:
+        f.write(text)
+
+
 def write_json(path: Path | str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    """Compact, single-line JSON: without ``indent`` CPython encodes in C."""
+    atomic_write_text(path, json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+def _write_rows(f, fmt: str, n: int, rows) -> None:
+    """Write ``fmt % row`` for rows 0..n-1, where ``rows(i, j)`` yields the
+    tuples of rows i..j-1; one write per block of ``_BLOCK_ROWS`` rows."""
+    for i in range(0, n, _BLOCK_ROWS):
+        f.write("".join(map(fmt.__mod__, rows(i, i + _BLOCK_ROWS))))
 
 
 def save_dense(path: Path | str, m: np.ndarray) -> None:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("dense matrix files are 2-D")
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    lines += [" ".join(format(x, ".17g") for x in row) for row in m]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as f:
+        f.write(f"{m.shape[0]} {m.shape[1]}\n")
+        fmt = " ".join(["%.17g"] * m.shape[1]) + "\n"
+        _write_rows(f, fmt, len(m), lambda i, j: map(tuple, m[i:j].tolist()))
 
 
 def load_dense(path: Path | str) -> np.ndarray:
     path = Path(path)
     with open(path) as f:
         header = f.readline().split()
-        if len(header) != 2:
+        if len(header) != 2 or not all(h.isdecimal() for h in header):
             raise ValueError(f"{path}: first line must be 'rows cols'")
         rows, cols = int(header[0]), int(header[1])
         if rows == 0:
             data = np.zeros((0, cols))
         else:
-            data = np.loadtxt(f, dtype=np.float64, ndmin=2)
+            try:
+                data = np.loadtxt(f, dtype=np.float64, ndmin=2)
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
     if data.shape != (rows, cols):
         raise ValueError(f"{path}: body shape {data.shape} != header {(rows, cols)}")
     if not np.all(np.isfinite(data)):
@@ -81,13 +109,12 @@ def save_graph(directory: Path | str, g: HinGraph) -> None:
         save_dense(directory / f"features_{t}.tsv", f)
     for (src, dst), a in g.adjacency.items():
         rows = np.repeat(np.arange(a.n_rows), np.diff(a.indptr))
-        lines = [
-            f"{int(c)}\t{int(r)}\t{format(w, '.17g')}"
-            for r, c, w in zip(rows, a.indices, a.weights)
-        ]
-        atomic_write_text(
-            directory / f"edges_{src}_{dst}.tsv", "\n".join(lines) + ("\n" if lines else "")
-        )
+
+        def edges(i, j):
+            return zip(a.indices[i:j].tolist(), rows[i:j].tolist(), a.weights[i:j].tolist())
+
+        with _atomic_open(directory / f"edges_{src}_{dst}.tsv") as f:
+            _write_rows(f, "%d\t%d\t%.17g\n", len(rows), edges)
     for t, lab in g.labels.items():
         lines = [f"{i}\t{int(c)}" for i, c in enumerate(lab) if c >= 0]
         if lines:
@@ -105,27 +132,105 @@ def load_schema(path: Path | str) -> Schema:
     return Schema(tuple(raw["types"]), tuple(tuple(r) for r in raw["relations"]))
 
 
-def _load_edges(path: Path, n_rows: int, n_cols: int) -> SparseAdj:
-    rows, cols, weights = [], [], []
+def _parse_table(path: Path, dtype: np.dtype) -> np.ndarray | None:
+    """The whole tab-separated file as a 1-D structured array, in one C
+    parse; None when a line does not fit ``dtype``."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(path, dtype=dtype, delimiter="\t", comments=None, ndmin=1)
+        except ValueError:
+            return None
+
+
+def _scan_lines(path: Path, parse_fields, dtype: np.dtype) -> np.ndarray:
+    """Parse ``path`` line by line, naming ``file:line`` on the first bad one.
+
+    ``parse_fields`` turns a line's tab-separated fields into a tuple of
+    ``dtype`` or raises ValueError naming the check that failed. This is
+    the loaders' reference, and the path they take only when the one-shot
+    parse or its checks fail.
+    """
+    parsed = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise ValueError(f"{path}:{lineno}: expected 2 or 3 fields")
-            src, dst = int(parts[0]), int(parts[1])
+            try:
+                parsed.append(parse_fields(line.split("\t")))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
+    return np.array(parsed, dtype=dtype)
+
+
+def _in_range(a: np.ndarray, bound: int) -> bool:
+    return len(a) == 0 or (a.min() >= 0 and a.max() < bound)
+
+
+def _index(field: str, what: str, bound: int) -> int:
+    try:
+        i = int(field)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer: {field!r}") from None
+    if not 0 <= i < bound:
+        raise ValueError(f"{what} {i} out of range [0, {bound})")
+    return i
+
+
+def _load_edges(path: Path, n_rows: int, n_cols: int) -> SparseAdj:
+    """A relation's edges: sources index its adjacency's ``n_cols`` columns,
+    targets its ``n_rows`` rows."""
+
+    def parse_fields(parts):
+        if len(parts) not in (2, 3):
+            raise ValueError(f"expected 2 or 3 fields, got {len(parts)}")
+        src = _index(parts[0], "source index", n_cols)
+        dst = _index(parts[1], "target index", n_rows)
+        try:
             w = float(parts[2]) if len(parts) == 3 else 1.0
-            if not np.isfinite(w):
-                raise ValueError(f"{path}:{lineno}: non-finite weight")
-            cols.append(src)
-            rows.append(dst)
-            weights.append(w)
-    return SparseAdj.from_edges(
-        n_rows, n_cols, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-        np.array(weights),
-    )
+        except ValueError:
+            raise ValueError(f"weight is not a number: {parts[2]!r}") from None
+        if not np.isfinite(w):
+            raise ValueError("non-finite weight")
+        return src, dst, w
+
+    table = _parse_table(path, _EDGE_DTYPE)
+    if table is None or not (
+        _in_range(table["src"], n_cols)
+        and _in_range(table["dst"], n_rows)
+        and np.isfinite(table["weight"]).all()
+    ):
+        table = _scan_lines(path, parse_fields, _EDGE_DTYPE)
+    return SparseAdj.from_edges(n_rows, n_cols, table["dst"], table["src"], table["weight"])
+
+
+def _load_labels(path: Path, n_objects: int) -> np.ndarray:
+    """Per-object classes, -1 for the objects the file does not list."""
+
+    def parse_fields(parts):
+        if len(parts) != 2:
+            raise ValueError(f"expected 2 fields, got {len(parts)}")
+        index = _index(parts[0], "object index", n_objects)
+        try:
+            cls = int(parts[1])
+        except ValueError:
+            raise ValueError(f"class is not an integer: {parts[1]!r}") from None
+        if cls < 0:
+            raise ValueError(f"negative class {cls}")
+        return index, cls
+
+    table = _parse_table(path, _LABEL_DTYPE)
+    if table is None or not (
+        _in_range(table["index"], n_objects) and (table["cls"] >= 0).all()
+    ):
+        table = _scan_lines(path, parse_fields, _LABEL_DTYPE)
+    # the last line naming an object wins, as when the lines are applied in order
+    _, last_reversed = np.unique(table["index"][::-1], return_index=True)
+    keep = len(table) - 1 - last_reversed
+    lab = np.full(n_objects, -1, dtype=np.int64)
+    lab[table["index"][keep]] = table["cls"][keep]
+    return lab
 
 
 def load_graph(directory: Path | str) -> HinGraph:
@@ -149,14 +254,7 @@ def load_graph(directory: Path | str) -> HinGraph:
     for t in schema.object_types:
         lpath = directory / f"labels_{t}.tsv"
         if lpath.exists():
-            lab = np.full(features[t].shape[0], -1, dtype=np.int64)
-            with open(lpath) as f:
-                for lineno, line in enumerate(f, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    idx, cls = line.split("\t")
-                    lab[int(idx)] = int(cls)
+            lab = _load_labels(lpath, features[t].shape[0])
             if (lab >= 0).any():
                 labels[t] = lab
                 class_counts[t] = int(lab.max()) + 1

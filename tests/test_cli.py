@@ -62,6 +62,18 @@ def run_dir(data_dir, tmp_path_factory):
     return out
 
 
+def run_cli(args, **env):
+    """``hetconv`` in a fresh interpreter, so an uncaught error prints its traceback."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "hetconv.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_one(self, capsys):
         assert cli.main(["train"]) == cli.EXIT_USAGE
@@ -71,17 +83,55 @@ class TestUsageErrors:
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 
     def test_bad_thread_count_exits_one(self, data_dir):
-        # a fresh interpreter, so an uncaught error would print its traceback
-        env = dict(os.environ, HETCONV_THREADS="x")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "hetconv.cli", "verify", "--data", str(data_dir)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_cli(["verify", "--data", str(data_dir)], HETCONV_THREADS="x")
         assert proc.returncode == cli.EXIT_USAGE
         assert "HETCONV_THREADS" in proc.stderr and "'x'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestBadInputExitsData:
+    @pytest.mark.parametrize(
+        "name, body, message",
+        [
+            ("labels_A.tsv", "0\t1\n-1\t0\n", "labels_A.tsv:2: object index -1 out of range"),
+            ("labels_A.tsv", "40\t0\n", "labels_A.tsv:1: object index 40 out of range"),
+            ("labels_A.tsv", "0\t-1\n", "labels_A.tsv:1: negative class -1"),
+            ("labels_A.tsv", "0 1\n", "labels_A.tsv:1: expected 2 fields"),
+            ("edges_A_P.tsv", "0\t130\t1\n", "edges_A_P.tsv:1: target index 130 out of range"),
+            ("edges_A_P.tsv", "1.0\t0\t1\n", "edges_A_P.tsv:1: source index is not an integer"),
+            ("edges_A_P.tsv", "0\t0\tnan\n", "edges_A_P.tsv:1: non-finite weight"),
+        ],
+    )
+    def test_bad_graph_file(self, data_dir, tmp_path, name, body, message):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        (broken / name).write_text(body)
+        proc = run_cli(["verify", "--data", str(broken)])
+        assert proc.returncode == cli.EXIT_DATA
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_missing_checkpoint(self, data_dir, tmp_path, command):
+        missing = tmp_path / "no_model"
+        args = [command, "--model", str(missing), "--data", str(data_dir)]
+        proc = run_cli(args + (["--target", "A"] if command == "explain" else []))
+        assert proc.returncode == cli.EXIT_DATA
+        assert str(missing) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_truncated_parameter_file(self, data_dir, run_dir, tmp_path):
+        import shutil
+
+        ckpt = tmp_path / "model"
+        shutil.copytree(run_dir / "model", ckpt)
+        param = sorted(ckpt.glob("*.tsv"))[0]
+        param.write_text(param.read_text()[: len(param.read_text()) // 2])
+        proc = run_cli(["evaluate", "--model", str(ckpt), "--data", str(data_dir)])
+        assert proc.returncode == cli.EXIT_DATA
+        assert param.name in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -1,8 +1,42 @@
+import json
+
 import numpy as np
 import pytest
 
-from hetconv.graph import validate_graph
-from hetconv.io import atomic_write_text, load_dense, load_graph, save_dense, save_graph
+from hetconv.graph import HinGraph, Schema, SparseAdj, validate_graph
+from hetconv.io import (
+    _load_edges,
+    atomic_write_text,
+    load_dense,
+    load_graph,
+    save_dense,
+    save_graph,
+    write_json,
+)
+
+EXTREMES = np.array([[-0.0, 5e-324, 1e300], [3.0, -2.0, 0.1], [1e16, 1e17, 2.5]])
+
+
+def reference_dense_text(m: np.ndarray) -> str:
+    """The dense format written one element at a time."""
+    lines = [f"{m.shape[0]} {m.shape[1]}"]
+    lines += [" ".join(format(x, ".17g") for x in row) for row in m]
+    return "\n".join(lines) + "\n"
+
+
+def golden_graph() -> HinGraph:
+    rows, cols, w = np.array([0, 2, 2]), np.array([1, 0, 1]), np.array([0.5, 5e-324, 7.0])
+    return HinGraph(
+        schema=Schema(("A", "B"), (("A", "B"), ("B", "A"))),
+        adjacency={
+            ("A", "B"): SparseAdj.from_edges(3, 2, rows, cols, w),
+            ("B", "A"): SparseAdj.from_edges(2, 3, cols, rows, w),
+        },
+        features={"A": np.array([[1.0], [-0.0]]), "B": np.array([[1e300], [0.1], [-3.0]])},
+        labels={"B": np.array([1, -1, 0])},
+        class_counts={"B": 2},
+        splits={"B": {"train": np.array([0]), "val": np.array([2]), "test": np.array([2])}},
+    )
 
 
 class TestDenseRoundTrip:
@@ -19,6 +53,36 @@ class TestDenseRoundTrip:
     def test_non_finite_rejected(self, tmp_path):
         (tmp_path / "bad.tsv").write_text("1 2\nnan 1.0\n")
         with pytest.raises(ValueError, match="non-finite"):
+            load_dense(tmp_path / "bad.tsv")
+
+    def test_golden_bytes(self, tmp_path):
+        save_dense(tmp_path / "m.tsv", EXTREMES)
+        assert (tmp_path / "m.tsv").read_text() == (
+            "3 3\n"
+            "-0 4.9406564584124654e-324 1.0000000000000001e+300\n"
+            "3 -2 0.10000000000000001\n"
+            "10000000000000000 1e+17 2.5\n"
+        )
+        back = load_dense(tmp_path / "m.tsv")
+        assert np.array_equal(back, EXTREMES)
+        assert np.signbit(back[0, 0])
+
+    def test_blocks_match_per_element_reference(self, tmp_path):
+        # more rows than one write block, with the extremes inside a block and at its seam
+        m = np.random.default_rng(1).normal(size=(601, 3)) * 1e3
+        m[[0, 255, 256, 600]] = EXTREMES[[0, 1, 2, 0]]
+        save_dense(tmp_path / "m.tsv", m)
+        assert (tmp_path / "m.tsv").read_text() == reference_dense_text(m)
+        assert np.array_equal(load_dense(tmp_path / "m.tsv"), m)
+
+    def test_truncated_body_names_file(self, tmp_path):
+        (tmp_path / "cut.tsv").write_text("2 3\n1 2 3\n4 5\n")
+        with pytest.raises(ValueError, match="cut.tsv"):
+            load_dense(tmp_path / "cut.tsv")
+
+    def test_bad_header_names_file(self, tmp_path):
+        (tmp_path / "bad.tsv").write_text("two 3\n")
+        with pytest.raises(ValueError, match="bad.tsv: first line"):
             load_dense(tmp_path / "bad.tsv")
 
     def test_empty_matrix(self, tmp_path):
@@ -78,6 +142,112 @@ class TestGraphRoundTrip:
         (tmp_path / "g" / "labels_B.tsv").write_text("1\t1\n")
         back = load_graph(tmp_path / "g")
         assert list(back.labels["B"]) == [-1, 1, -1]
+
+
+class TestGoldenGraph:
+    def test_tsv_bytes(self, tmp_path):
+        save_graph(tmp_path / "g", golden_graph())
+        files = {p.name: p.read_text() for p in (tmp_path / "g").iterdir()}
+        assert files["edges_A_B.tsv"] == "1\t0\t0.5\n0\t2\t4.9406564584124654e-324\n1\t2\t7\n"
+        assert files["edges_B_A.tsv"] == "2\t0\t4.9406564584124654e-324\n0\t1\t0.5\n2\t1\t7\n"
+        assert files["features_A.tsv"] == "2 1\n1\n-0\n"
+        assert files["features_B.tsv"] == "3 1\n1.0000000000000001e+300\n0.10000000000000001\n-3\n"
+        assert files["labels_B.tsv"] == "0\t1\n2\t0\n"
+
+    def test_json_is_one_compact_line(self, tmp_path):
+        save_graph(tmp_path / "g", golden_graph())
+        schema = (tmp_path / "g" / "schema.json").read_text()
+        assert schema == '{"types":["A","B"],"relations":[["A","B"],["B","A"]]}\n'
+        split = json.loads((tmp_path / "g" / "split_B.json").read_text())
+        assert split == {"train": [0], "val": [2], "test": [2]}
+
+    def test_round_trip(self, tmp_path):
+        g = golden_graph()
+        save_graph(tmp_path / "g", g)
+        back = load_graph(tmp_path / "g")
+        for rel, a in g.adjacency.items():
+            assert np.array_equal(back.adjacency[rel].to_dense(), a.to_dense())
+        for t, f in g.features.items():
+            assert np.array_equal(back.features[t], f)
+            assert np.array_equal(np.signbit(back.features[t]), np.signbit(f))
+        assert np.array_equal(back.labels["B"], g.labels["B"])
+        assert back.class_counts == {"B": 2}
+
+
+def _edge_case(tmp_path, toy_graph, text):
+    save_graph(tmp_path / "g", toy_graph)
+    (tmp_path / "g" / "edges_A_B.tsv").write_text(text)
+    return tmp_path / "g"
+
+
+class TestEdgeLoader:
+    def test_mixed_field_counts_and_blank_lines(self, tmp_path, toy_graph):
+        g = load_graph(_edge_case(tmp_path, toy_graph, "0\t1\t2.5\n\n  \n2\t0\n1\t1\t0.25\n"))
+        want = np.zeros((3, 3))
+        want[1, 0], want[0, 2], want[1, 1] = 2.5, 1.0, 0.25
+        assert np.array_equal(g.adjacency[("A", "B")].to_dense(), want)
+
+    def test_matches_line_by_line_reference(self, tmp_path):
+        # distinct (source, target) pairs, so no sum depends on the order of addition
+        rng = np.random.default_rng(3)
+        cells = rng.choice(20 * 30, 200, replace=False)
+        src, dst = (cells // 30).tolist(), (cells % 30).tolist()
+        w = (np.abs(rng.normal(size=200)) * 10.0 ** rng.integers(-300, 300, 200)).tolist()
+        text = "".join(f"{s}\t{d}\t{x!r}\n" for s, d, x in zip(src, dst, w))
+        (tmp_path / "e.tsv").write_text(text)
+        got = _load_edges(tmp_path / "e.tsv", 30, 20).to_dense()
+        want = np.zeros((30, 20))
+        for line in text.splitlines():
+            s, d, x = line.split("\t")
+            want[int(d), int(s)] += float(x)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "body, check",
+        [
+            ("0\t0\t1\n1.0\t2\t1\n", ":2: source index is not an integer: '1.0'"),
+            ("0\t0\t1\n\n1\t2\tnan\n", ":3: non-finite weight"),
+            ("0\t0\t1\n0\t3\t1\n", r":2: target index 3 out of range \[0, 3\)"),
+            ("-1\t0\t1\n", r":1: source index -1 out of range \[0, 3\)"),
+            ("0\t0\tx\n", ":1: weight is not a number: 'x'"),
+            ("0\t0\t1\t4\n", ":1: expected 2 or 3 fields, got 4"),
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, toy_graph, body, check):
+        with pytest.raises(ValueError, match="edges_A_B.tsv" + check):
+            load_graph(_edge_case(tmp_path, toy_graph, body))
+
+
+class TestLabelLoader:
+    @pytest.mark.parametrize(
+        "body, check",
+        [
+            ("0\t1\n-1\t0\n", r":2: object index -1 out of range \[0, 3\)"),
+            ("3\t0\n", r":1: object index 3 out of range \[0, 3\)"),
+            ("0\t1\n\n1\t-2\n", ":3: negative class -2"),
+            ("0\t1\n1 1\n", ":2: expected 2 fields, got 1"),
+            ("0\tone\n", ":1: class is not an integer: 'one'"),
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, toy_graph, body, check):
+        save_graph(tmp_path / "g", toy_graph)
+        (tmp_path / "g" / "labels_B.tsv").write_text(body)
+        with pytest.raises(ValueError, match="labels_B.tsv" + check):
+            load_graph(tmp_path / "g")
+
+    def test_last_line_for_an_object_wins(self, tmp_path, toy_graph):
+        save_graph(tmp_path / "g", toy_graph)
+        (tmp_path / "g" / "labels_B.tsv").write_text("0\t1\n2\t0\n0\t3\n")
+        assert list(load_graph(tmp_path / "g").labels["B"]) == [3, -1, 0]
+
+
+class TestWriteJson:
+    def test_compact_single_line(self, tmp_path):
+        obj = {"a": [1, 2.5, None], "b": {"c": "d"}}
+        write_json(tmp_path / "x.json", obj)
+        text = (tmp_path / "x.json").read_text()
+        assert text == '{"a":[1,2.5,null],"b":{"c":"d"}}\n'
+        assert json.loads(text) == obj
 
 
 class TestAtomicWrite:
