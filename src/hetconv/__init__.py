@@ -7,7 +7,7 @@ extraction (`interpret`), synthetic data with planted labels (`datagen`),
 a scaling benchmark (`bench`), and the `hetconv` CLI (`cli`).
 """
 
-from .graph import HinGraph, Schema, SparseAdj, neighbor_types, row_normalize, validate_graph
+from .graph import HinGraph, Schema, SparseAdj, row_normalize, validate_graph
 from .model import ModelParams, forward, init_params, spectral_equivalence_check
 from .train import TrainConfig, evaluate, fit
 from .interpret import AttentionSummary, score_meta_paths, summarize_attention
@@ -23,7 +23,6 @@ __all__ = [
     "fit",
     "forward",
     "init_params",
-    "neighbor_types",
     "row_normalize",
     "score_meta_paths",
     "spectral_equivalence_check",

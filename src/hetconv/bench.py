@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import GenSpec, dblp_spec, generate, with_splits
-from .graph import HinGraph
-from .model import normalized_adjacency
+from .graph import HinGraph, normalized_adjacency
 from .train import AdamState, TrainConfig, build_params, train_step
 
 

@@ -49,10 +49,6 @@ class Schema:
         return [src for src, dst in self.relations if dst == omega]
 
 
-def neighbor_types(schema: Schema, omega: str) -> list[str]:
-    return schema.neighbor_types(omega)
-
-
 @dataclass(frozen=True)
 class SparseAdj:
     """CSR adjacency between target-type rows and source-type columns.
@@ -130,10 +126,6 @@ class SparseAdj:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical (indptr, indices) of the sparsity pattern."""
-        return self.indptr, self.indices
-
     @staticmethod
     def from_edges(
         n_rows: int,
@@ -165,7 +157,15 @@ class SparseAdj:
         )
 
 
-def row_normalize(a: SparseAdj) -> SparseAdj:
+class RowNormalizedAdj(SparseAdj):
+    """A ``SparseAdj`` whose nonzero rows sum to 1, built by ``row_normalize``.
+
+    The type carries the invariant, so the convolution checks it with
+    ``isinstance`` instead of re-summing every row on each forward pass.
+    """
+
+
+def row_normalize(a: SparseAdj) -> RowNormalizedAdj:
     """Divide each row by its sum so nonzero rows sum to 1.
 
     Rows without entries stay empty: an object with no neighbors under this
@@ -175,7 +175,9 @@ def row_normalize(a: SparseAdj) -> SparseAdj:
     sums = a.row_sums()
     scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
     new_weights = a.weights * np.repeat(scale, np.diff(a.indptr))
-    return SparseAdj(a.n_rows, a.n_cols, a.indptr.copy(), a.indices.copy(), new_weights)
+    return RowNormalizedAdj(
+        a.n_rows, a.n_cols, a.indptr.copy(), a.indices.copy(), new_weights
+    )
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,8 @@ class HinGraph:
 
     ``adjacency[(src, dst)]`` has shape |V_dst| x |V_src|: rows index the
     relation's target objects. ``labels[t]`` holds a class id per object,
-    -1 where unlabeled. ``splits[t]`` maps "train"/"val"/"test" to index
-    arrays over the labeled objects.
+    -1 where unlabeled. ``splits[t]`` maps "train"/"val"/"test" to
+    disjoint index arrays over the labeled objects.
     """
 
     schema: Schema
@@ -224,6 +226,11 @@ class HinGraph:
 
     def total_links(self) -> int:
         return sum(a.nnz for a in self.adjacency.values())
+
+
+def normalized_adjacency(g: HinGraph) -> dict[Relation, RowNormalizedAdj]:
+    """Row-normalize every relation's adjacency once, for reuse across epochs."""
+    return {rel: row_normalize(a) for rel, a in g.adjacency.items()}
 
 
 def validate_graph(g: HinGraph) -> list[str]:
@@ -279,6 +286,40 @@ def validate_graph(g: HinGraph) -> list[str]:
             v.append(f"type {t}: labeled but class count missing")
         elif len(lab) and (lab.min() < -1 or lab.max() >= n_classes):
             v.append(f"type {t}: label outside [-1, {n_classes})")
+    for t, parts in g.splits.items():
+        if t not in g.features:
+            v.append(f"splits for unknown type {t}")
+            continue
+        v.extend(_split_problems(t, parts, g.n_objects(t), g.labels.get(t)))
+    return v
+
+
+def _split_problems(
+    t: str, parts: Mapping[str, np.ndarray], n: int, labels: np.ndarray | None
+) -> list[str]:
+    """Out-of-range, unlabeled and shared objects in a type's split parts."""
+    v = []
+    for k, idx in parts.items():
+        outside = idx[(idx < 0) | (idx >= n)]
+        if len(outside):
+            v.append(f"type {t} split {k}: index {outside[0]} outside [0, {n})")
+            continue
+        if labels is None or len(labels) == n:
+            unlabeled = idx if labels is None else idx[labels[idx] < 0]
+            if len(unlabeled):
+                v.append(
+                    f"type {t} split {k}: {len(unlabeled)} unlabeled objects "
+                    f"(first: {unlabeled[0]})"
+                )
+    names = list(parts)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            shared = np.intersect1d(parts[a], parts[b])
+            if len(shared):
+                v.append(
+                    f"type {t}: split parts {a} and {b} share {len(shared)} "
+                    f"objects (first: {shared[0]})"
+                )
     return v
 
 
@@ -287,8 +328,7 @@ def _transpose_pattern_equal(a: SparseAdj, b: SparseAdj) -> bool:
         return False
     bt = b._csr.T.tocsr()
     bt.sort_indices()
-    ai, an = a.pattern()
-    return np.array_equal(ai, bt.indptr) and np.array_equal(an, bt.indices)
+    return np.array_equal(a.indptr, bt.indptr) and np.array_equal(a.indices, bt.indices)
 
 
 def induced_subgraph(g: HinGraph, keep: Mapping[str, int]) -> HinGraph:

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import HinGraph, Schema, SparseAdj, row_normalize
+from .graph import HinGraph, Schema, normalized_adjacency
 
 # a dummy-self choice; real self-relations use the type name instead
 Choice = str | None
@@ -207,7 +207,7 @@ def per_object_scores(
     """
     if target not in g.schema.object_types:
         raise KeyError(f"unknown object type: {target!r}")
-    norm_adj = {rel: row_normalize(a) for rel, a in g.adjacency.items()}
+    norm_adj = normalized_adjacency(g)
     scores: dict[str, dict[tuple[str, ...], np.ndarray]] = {
         t: {(t,): np.ones(g.n_objects(t))} for t in g.schema.object_types
     }
@@ -221,7 +221,7 @@ def per_object_scores(
             for prefix, mass in scores[omega].items():
                 acc[prefix] = att[:, 0] * mass
             for j, gamma in enumerate(g.schema.neighbor_types(omega)):
-                a_hat: SparseAdj = norm_adj[(gamma, omega)]
+                a_hat = norm_adj[(gamma, omega)]
                 coeff = att[:, 1 + j]
                 for prefix, mass in scores[gamma].items():
                     pushed = coeff * a_hat.matmul(mass[:, None])[:, 0]

@@ -126,10 +126,32 @@ def save_graph(directory: Path | str, g: HinGraph) -> None:
         )
 
 
+def _read_json(path: Path | str, build):
+    """``build`` applied to the file's JSON; a decode error or a missing or
+    mistyped field is re-raised as a ValueError naming the file."""
+    try:
+        with open(path) as f:
+            return build(json.load(f))
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err}") from None
+    except (ValueError, TypeError, OverflowError) as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def load_schema(path: Path | str) -> Schema:
-    with open(path) as f:
-        raw = json.load(f)
-    return Schema(tuple(raw["types"]), tuple(tuple(r) for r in raw["relations"]))
+    return _read_json(
+        path,
+        lambda raw: Schema(tuple(raw["types"]), tuple(tuple(r) for r in raw["relations"])),
+    )
+
+
+def _split_parts(raw) -> dict[str, np.ndarray]:
+    if not isinstance(raw, dict):
+        raise TypeError("expected an object of index lists")
+    for k, v in raw.items():
+        if not isinstance(v, list) or not all(type(i) is int for i in v):
+            raise TypeError(f"split part {k!r} is not a list of integer indices")
+    return {k: np.array(v, dtype=np.int64) for k, v in raw.items()}
 
 
 def _parse_table(path: Path, dtype: np.dtype) -> np.ndarray | None:
@@ -260,9 +282,7 @@ def load_graph(directory: Path | str) -> HinGraph:
                 class_counts[t] = int(lab.max()) + 1
         spath = directory / f"split_{t}.json"
         if spath.exists():
-            with open(spath) as f:
-                raw = json.load(f)
-            splits[t] = {k: np.array(v, dtype=np.int64) for k, v in raw.items()}
+            splits[t] = _read_json(spath, _split_parts)
     return HinGraph(
         schema=schema,
         adjacency=adjacency,

@@ -33,10 +33,16 @@ from .autodiff import (
     spmm,
     xavier_uniform,
 )
-from .graph import HinGraph, Relation, Schema, SparseAdj, row_normalize
+from .graph import (
+    HinGraph,
+    Relation,
+    RowNormalizedAdj,
+    Schema,
+    SparseAdj,
+    normalized_adjacency,
+    row_normalize,
+)
 from .io import load_dense, save_dense, write_json
-
-NORMALIZATION_TOL = 1e-6
 
 
 @dataclass
@@ -91,25 +97,6 @@ class ModelParams:
         """(Re-)register every parameter as a leaf of ``tape``."""
         for p in self.named().values():
             p.watch(tape)
-
-
-@dataclass
-class BlockOutput:
-    """New representations plus the per-object attention distribution.
-
-    Attention column 0 is the block's own (dummy self) contribution, the
-    remaining columns follow the neighbor types in schema order.
-    """
-
-    h_new: GradMatrix
-    attention: np.ndarray
-
-    def __post_init__(self):
-        a = self.attention
-        if a.ndim != 2 or a.shape[0] != self.h_new.shape[0]:
-            raise ValueError("attention shape inconsistent with representations")
-        if len(a) and (a.min() < 0 or np.abs(a.sum(axis=1) - 1.0).max() > 1e-6):
-            raise ValueError("attention rows must be probability distributions")
 
 
 def init_params(
@@ -176,14 +163,14 @@ def hetero_conv(
     block: BlockParams,
     h_self: GradMatrix,
     h_neigh: Mapping[str, GradMatrix],
-    adj_norm: Mapping[str, SparseAdj],
+    adj_norm: Mapping[str, RowNormalizedAdj],
 ) -> tuple[GradMatrix, dict[str, GradMatrix]]:
     """Project the block's own representation, and project and average each
     neighbor type's objects through the row-normalized adjacency.
 
     Each relation's product ``adj_norm[gamma] @ h_neigh[gamma] @ w_rel[gamma]``
     is associated in whichever order ``aggregates_first`` finds cheaper.
-    A nonzero adjacency row sum off 1 by more than 1e-6 is an error.
+    An adjacency not built by ``graph.row_normalize`` is an error.
     """
     if h_self.shape[1] != block.w_self.shape[0]:
         raise ValueError(
@@ -200,12 +187,8 @@ def hetero_conv(
                 f"{w.shape[0]}, got {h.shape[1]}"
             )
         a = adj_norm[gamma]
-        sums = a.row_sums()
-        nonzero = sums > 0
-        if nonzero.any() and np.abs(sums[nonzero] - 1.0).max() > NORMALIZATION_TOL:
-            raise ValueError(
-                f"adjacency for neighbor type {gamma} is not row-normalized"
-            )
+        if not isinstance(a, RowNormalizedAdj):
+            raise ValueError(f"adjacency for neighbor type {gamma} is not row-normalized")
         if aggregates_first(a, *w.shape):
             z_gamma[gamma] = matmul(spmm(a, h), w)
         else:
@@ -219,7 +202,7 @@ def type_attention(
     z_gamma: Mapping[str, GradMatrix],
     neighbor_order: Sequence[str],
     mean_variant: bool = False,
-) -> BlockOutput:
+) -> tuple[GradMatrix, np.ndarray]:
     """Type-level aggregation of the convolved representations.
 
     The self representation is mapped to the query, every candidate
@@ -227,6 +210,10 @@ def type_attention(
     vector against the attention weights, normalized row-wise by softmax.
     With ``mean_variant`` the distribution is replaced by the uniform one
     and the attention parameters are ignored.
+
+    Returns the new representations and the per-object attention, whose
+    column 0 is the block's own (dummy self) contribution and whose other
+    columns follow ``neighbor_order``.
     """
     values = [z_self] + [z_gamma[g] for g in neighbor_order]
     if mean_variant:
@@ -239,12 +226,7 @@ def type_attention(
         key_map = matmul(block.w_k, row_select(block.w_a, np.arange(d_a)))
         query_map = matmul(block.w_q, row_select(block.w_a, np.arange(d_a, 2 * d_a)))
         mixed, att = attend(values, key_map, query_map)
-    return BlockOutput(h_new=elu(mixed), attention=att)
-
-
-def normalized_adjacency(g: HinGraph) -> dict[Relation, SparseAdj]:
-    """Row-normalize every relation's adjacency once, for reuse across epochs."""
-    return {rel: row_normalize(a) for rel, a in g.adjacency.items()}
+    return elu(mixed), att
 
 
 def forward(
@@ -253,7 +235,7 @@ def forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
-    norm_adj: Mapping[Relation, SparseAdj] | None = None,
+    norm_adj: Mapping[Relation, RowNormalizedAdj] | None = None,
 ) -> tuple[dict[str, GradMatrix], list[dict[str, np.ndarray]]]:
     """Run all layers; return final representations and attention records.
 
@@ -293,13 +275,11 @@ def forward(
                     h,
                     {gm: norm_adj[(gm, omega)] for gm in neighbors},
                 )
-                out = type_attention(
+                new_h[omega], layer_att[omega] = type_attention(
                     blocks[omega], z_self, z_gamma, neighbors, params.mean_variant
                 )
             except ValueError as err:
                 raise ValueError(f"layer {n} block {omega}: {err}") from err
-            new_h[omega] = out.h_new
-            layer_att[omega] = out.attention
         if training and n < n_layers:
             new_h = {
                 t: dropout(x, dropout_rate, True, rng) for t, x in new_h.items()

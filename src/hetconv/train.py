@@ -20,8 +20,8 @@ from .autodiff import (
     mul,
     row_select,
 )
-from .graph import HinGraph, Relation, SparseAdj, validate_graph
-from .model import ModelParams, clone_with, forward, init_params, normalized_adjacency
+from .graph import HinGraph, Relation, RowNormalizedAdj, normalized_adjacency, validate_graph
+from .model import ModelParams, clone_with, forward, init_params
 
 
 @dataclass
@@ -239,7 +239,7 @@ def train_step(
     adam: AdamState,
     cfg: TrainConfig,
     train_idx: Mapping[str, np.ndarray],
-    norm_adj: Mapping[Relation, SparseAdj],
+    norm_adj: Mapping[Relation, RowNormalizedAdj],
     epoch: int,
 ) -> float:
     """One optimization step: train-mode forward on the whole graph, the
@@ -271,7 +271,8 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     Per epoch: one train-mode forward on the whole graph, the loss over
     the train split, one backward pass, one optimizer step, then an
     eval-mode pass for the validation metrics. Keeps the parameters of
-    the best validation epoch. The log holds one record per epoch.
+    the best validation epoch. The log holds one record per epoch. A
+    non-finite train loss raises FloatingPointError naming the epoch.
     """
     problems = validate_graph(g)
     if problems:
@@ -296,6 +297,8 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         loss = train_step(g, params, adam, cfg, train_idx, norm_adj, epoch)
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"epoch {epoch}: train loss is {loss}")
         val_metrics = evaluate(params, g, val_idx, norm_adj=norm_adj) if val_idx else {}
         score = _val_score(val_metrics) if val_metrics else -loss
         record = {

@@ -70,7 +70,7 @@ def toy_graph() -> HinGraph:
         features=g.features,
         labels={"B": np.array([0, 1, 1])},
         class_counts={"B": 2},
-        splits={"B": {"train": np.array([0, 1]), "val": np.array([2]), "test": np.array([2])}},
+        splits={"B": {"train": np.array([0]), "val": np.array([1]), "test": np.array([2])}},
     )
 
 

@@ -100,6 +100,13 @@ class TestBadInputExitsData:
             ("edges_A_P.tsv", "0\t130\t1\n", "edges_A_P.tsv:1: target index 130 out of range"),
             ("edges_A_P.tsv", "1.0\t0\t1\n", "edges_A_P.tsv:1: source index is not an integer"),
             ("edges_A_P.tsv", "0\t0\tnan\n", "edges_A_P.tsv:1: non-finite weight"),
+            ("split_A.json", '{"train": [999], "test": [1]}',
+             "type A split train: index 999 outside [0, 40)"),
+            ("split_A.json", '{"train": [0, 1], "val": [2], "test": [1, 3]}',
+             "type A: split parts train and test share 1 objects"),
+            ("split_P.json", '{"train": [0]}', "type P split train: 1 unlabeled objects"),
+            ("split_A.json", '{"train": [0,\n', "split_A.json: Expecting value"),
+            ("schema.json", '{"types": ["A", "P', "schema.json: Unterminated string"),
         ],
     )
     def test_bad_graph_file(self, data_dir, tmp_path, name, body, message):
@@ -133,6 +140,30 @@ class TestBadInputExitsData:
         assert proc.returncode == cli.EXIT_DATA
         assert param.name in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestNumericFailure:
+    def test_overflowing_features_exit_numeric(self, data_dir, tmp_path):
+        import shutil
+
+        import numpy as np
+
+        from hetconv.io import load_dense, save_dense
+
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        feats = broken / "features_A.tsv"
+        save_dense(feats, np.full_like(load_dense(feats), 1e200))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"max_epochs": 8, "patience": 8}))
+        proc = run_cli(
+            ["train", "--data", str(broken), "--config", str(cfg),
+             "--out", str(tmp_path / "run")]
+        )
+        assert proc.returncode == cli.EXIT_NUMERIC
+        assert "train loss is nan" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run" / "training_log.jsonl").exists()
 
 
 class TestGenerate:

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from hetconv.graph import (
     HinGraph,
+    RowNormalizedAdj,
     Schema,
     SparseAdj,
     induced_subgraph,
-    neighbor_types,
+    normalized_adjacency,
     row_normalize,
     validate_graph,
 )
@@ -47,23 +48,23 @@ class TestSchema:
 
 class TestNeighborTypes:
     def test_dblp_paper_block_order(self, dblp_schema):
-        assert neighbor_types(dblp_schema, "P") == ["C", "A", "T"]
+        assert dblp_schema.neighbor_types("P") == ["C", "A", "T"]
 
     def test_dblp_conference_block(self, dblp_schema):
-        assert neighbor_types(dblp_schema, "C") == ["P"]
+        assert dblp_schema.neighbor_types("C") == ["P"]
 
     def test_no_incoming_relations(self):
         s = Schema(("A", "B"), (("A", "B"),))
-        assert neighbor_types(s, "A") == []
-        assert neighbor_types(s, "B") == ["A"]
+        assert s.neighbor_types("A") == []
+        assert s.neighbor_types("B") == ["A"]
 
     def test_unknown_type_named_in_error(self, dblp_schema):
         with pytest.raises(KeyError, match="X"):
-            neighbor_types(dblp_schema, "X")
+            dblp_schema.neighbor_types("X")
 
     def test_membership_matches_relations(self, dblp_schema):
         for omega in dblp_schema.object_types:
-            got = set(neighbor_types(dblp_schema, omega))
+            got = set(dblp_schema.neighbor_types(omega))
             want = {s for s, d in dblp_schema.relations if d == omega}
             assert got == want
 
@@ -127,6 +128,15 @@ class TestRowNormalize:
         twice = row_normalize(once)
         assert np.all(np.abs(once.weights - twice.weights) < 1e-9)
 
+    def test_result_carries_the_type(self, toy_graph):
+        assert isinstance(row_normalize(adj_from_dense([[1.0, 3.0]])), RowNormalizedAdj)
+        assert not isinstance(adj_from_dense([[0.25, 0.75]]), RowNormalizedAdj)
+        norm = normalized_adjacency(toy_graph)
+        assert set(norm) == set(toy_graph.adjacency)
+        for rel, a in norm.items():
+            assert isinstance(a, RowNormalizedAdj)
+            assert np.array_equal(a.weights, row_normalize(toy_graph.adjacency[rel]).weights)
+
 
 class TestValidateGraph:
     def test_well_formed_toy(self, toy_graph):
@@ -184,6 +194,36 @@ class TestValidateGraph:
             class_counts={"B": 2},
         )
         assert any("label" in v for v in validate_graph(g))
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ({"train": [0], "test": [3]}, "type B split test: index 3 outside [0, 3)"),
+            ({"train": [-1], "test": [2]}, "type B split train: index -1 outside [0, 3)"),
+            ({"train": [0, 2], "val": [2]},
+             "type B: split parts train and val share 1 objects (first: 2)"),
+            ({"train": [0], "test": [1, 2]}, "type B split test: 1 unlabeled objects (first: 1)"),
+        ],
+    )
+    def test_split_problems_name_type_and_part(self, toy_graph, parts, message):
+        g = HinGraph(
+            schema=toy_graph.schema,
+            adjacency=toy_graph.adjacency,
+            features=toy_graph.features,
+            labels={"B": np.array([0, -1, 1])},
+            class_counts={"B": 2},
+            splits={"B": parts},
+        )
+        assert validate_graph(g) == [message]
+
+    def test_split_of_unlabeled_type_reported(self, toy_graph):
+        g = HinGraph(
+            schema=toy_graph.schema,
+            adjacency=toy_graph.adjacency,
+            features=toy_graph.features,
+            splits={"A": {"train": [0, 1]}},
+        )
+        assert validate_graph(g) == ["type A split train: 2 unlabeled objects (first: 0)"]
 
 
 class TestInducedSubgraph:

@@ -241,6 +241,37 @@ class TestLabelLoader:
         assert list(load_graph(tmp_path / "g").labels["B"]) == [3, -1, 0]
 
 
+class TestJsonFiles:
+    @pytest.mark.parametrize(
+        "body, check",
+        [
+            ('{"types": ["A", "B"', "Expecting"),
+            ('{"types": ["A", "B"]}', "missing key 'relations'"),
+            ('["A", "B"]', "list indices must be integers"),
+        ],
+    )
+    def test_bad_schema_names_file(self, tmp_path, toy_graph, body, check):
+        save_graph(tmp_path, toy_graph)
+        (tmp_path / "schema.json").write_text(body)
+        with pytest.raises(ValueError, match=f"schema.json: .*{check}"):
+            load_graph(tmp_path)
+
+    @pytest.mark.parametrize(
+        "body, check",
+        [
+            ('{"train": [0,', "Expecting value"),
+            ('[0, 1]', "expected an object of index lists"),
+            ('{"train": [0.5]}', "split part 'train' is not a list of integer indices"),
+            ('{"train": 0}', "split part 'train' is not a list of integer indices"),
+        ],
+    )
+    def test_bad_split_names_file(self, tmp_path, toy_graph, body, check):
+        save_graph(tmp_path, toy_graph)
+        (tmp_path / "split_B.json").write_text(body)
+        with pytest.raises(ValueError, match=f"split_B.json: {check}"):
+            load_graph(tmp_path)
+
+
 class TestWriteJson:
     def test_compact_single_line(self, tmp_path):
         obj = {"a": [1, 2.5, None], "b": {"c": "d"}}
