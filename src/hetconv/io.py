@@ -1,23 +1,29 @@
-"""On-disk layout for graphs, dense matrices, and run artifacts.
+"""On-disk layout for graphs, binary arrays, and run artifacts.
 
 A graph directory holds:
   schema.json            {"types": [...], "relations": [["A","P"], ...]}
   edges_<SRC>_<DST>.tsv  src_index<TAB>dst_index[<TAB>weight], 0-based
-  features_<TYPE>.tsv    header "rows cols", then rows lines of floats
+  features_<TYPE>.npy    2-D float64 array, one row per object
   labels_<TYPE>.tsv      object_index<TAB>class_index (absent = unlabeled)
   split_<TYPE>.json      {"train": [...], "val": [...], "test": [...]}
 
-All writes go through a temp file plus rename, so interrupted runs never
-leave a corrupt artifact behind.
+Arrays are NumPy ``.npy`` files (and ``.npz`` archives for checkpoints),
+written and read with ``allow_pickle=False``. All writes go through a temp
+file plus rename, so interrupted runs never leave a corrupt artifact
+behind.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import lzma
 import os
 import tempfile
+import tokenize
 import warnings
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +38,33 @@ _EDGE_DTYPE = np.dtype([("src", "i8"), ("dst", "i8"), ("weight", "f8")])
 _LABEL_DTYPE = np.dtype([("index", "i8"), ("cls", "i8")])
 
 
+# What np.load raises on a damaged .npy or .npz besides ValueError (a bad
+# header, a short body, a pickled object array): EOFError for an empty
+# file, TokenError for a header cut inside a bracket, OSError for an
+# unreadable file; for a damaged archive BadZipFile, RuntimeError
+# (NotImplementedError included) when a member's header names encryption
+# or an unknown compression method, and the decompressor's error on a
+# damaged compressed member (zlib.error, OSError from bz2, LZMAError).
+_DAMAGED_ARRAY_FILE = (
+    ValueError,
+    EOFError,
+    tokenize.TokenError,
+    OSError,
+    zipfile.BadZipFile,
+    RuntimeError,
+    zlib.error,
+    lzma.LZMAError,
+)
+
+
 @contextlib.contextmanager
-def _atomic_open(path: Path | str):
-    """A text file that replaces ``path`` only once the block exits cleanly."""
+def _atomic_open(path: Path | str, mode: str = "w"):
+    """A file, text or (``mode="wb"``) binary, that replaces ``path`` only
+    once the block exits cleanly."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, mode) as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -64,35 +90,58 @@ def _write_rows(f, fmt: str, n: int, rows) -> None:
         f.write("".join(map(fmt.__mod__, rows(i, i + _BLOCK_ROWS))))
 
 
-def save_dense(path: Path | str, m: np.ndarray) -> None:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("dense matrix files are 2-D")
-    with _atomic_open(path) as f:
-        f.write(f"{m.shape[0]} {m.shape[1]}\n")
-        fmt = " ".join(["%.17g"] * m.shape[1]) + "\n"
-        _write_rows(f, fmt, len(m), lambda i, j: map(tuple, m[i:j].tolist()))
+def checked_matrix(where: str, a: np.ndarray, shape: tuple | None = None) -> np.ndarray:
+    """``a`` if it is a finite float64 matrix of ``shape`` (any 2-D shape
+    when None); otherwise a ValueError naming ``where``."""
+    bad_shape = a.ndim != 2 if shape is None else a.shape != shape
+    if bad_shape:
+        raise ValueError(f"{where}: shape {a.shape}, expected {shape or '2-D'}")
+    if a.dtype != np.float64:
+        raise ValueError(f"{where}: dtype {a.dtype}, expected float64")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{where}: non-finite value")
+    return a
 
 
-def load_dense(path: Path | str) -> np.ndarray:
+def _np_load(path: Path):
+    """``np.load`` without pickle; a damaged file is a ValueError naming it."""
+    try:
+        return np.load(path, allow_pickle=False)
+    except _DAMAGED_ARRAY_FILE as err:
+        raise ValueError(f"{path}: not a readable NumPy file ({err})") from None
+
+
+def save_npz(path: Path | str, arrays: dict[str, np.ndarray]) -> None:
+    """One uncompressed ``.npz`` archive of the named float64 arrays."""
+    with _atomic_open(path, "wb") as f:
+        np.savez(f, allow_pickle=False, **arrays)
+
+
+def load_npz(path: Path | str) -> dict[str, np.ndarray]:
+    """Every array of an ``.npz`` archive, by name, read without pickle.
+    A damaged archive or member is a ValueError naming the file."""
     path = Path(path)
-    with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 2 or not all(h.isdecimal() for h in header):
-            raise ValueError(f"{path}: first line must be 'rows cols'")
-        rows, cols = int(header[0]), int(header[1])
-        if rows == 0:
-            data = np.zeros((0, cols))
-        else:
-            try:
-                data = np.loadtxt(f, dtype=np.float64, ndmin=2)
-            except ValueError as err:
-                raise ValueError(f"{path}: {err}") from None
-    if data.shape != (rows, cols):
-        raise ValueError(f"{path}: body shape {data.shape} != header {(rows, cols)}")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite value")
-    return data
+    archive = _np_load(path)
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: a single .npy array, not an .npz archive")
+    with archive:
+        try:
+            arrays = {name: archive[name] for name in archive.files}
+        except _DAMAGED_ARRAY_FILE as err:
+            raise ValueError(f"{path}: not a readable NumPy file ({err})") from None
+    for name, a in arrays.items():
+        # NpzFile hands back a member without the .npy magic as raw bytes
+        if not isinstance(a, np.ndarray):
+            raise ValueError(f"{path}: member {name} is not a .npy array")
+    return arrays
+
+
+def _load_features(path: Path) -> np.ndarray:
+    a = _np_load(path)
+    if not isinstance(a, np.ndarray):
+        a.close()
+        raise ValueError(f"{path}: an .npz archive, not a single .npy array")
+    return checked_matrix(str(path), a)
 
 
 def save_graph(directory: Path | str, g: HinGraph) -> None:
@@ -106,7 +155,8 @@ def save_graph(directory: Path | str, g: HinGraph) -> None:
         },
     )
     for t, f in g.features.items():
-        save_dense(directory / f"features_{t}.tsv", f)
+        with _atomic_open(directory / f"features_{t}.npy", "wb") as out:
+            np.save(out, np.ascontiguousarray(f, dtype=np.float64), allow_pickle=False)
     for (src, dst), a in g.adjacency.items():
         rows = np.repeat(np.arange(a.n_rows), np.diff(a.indptr))
 
@@ -126,7 +176,7 @@ def save_graph(directory: Path | str, g: HinGraph) -> None:
         )
 
 
-def _read_json(path: Path | str, build):
+def read_json(path: Path | str, build):
     """``build`` applied to the file's JSON; a decode error or a missing or
     mistyped field is re-raised as a ValueError naming the file."""
     try:
@@ -139,7 +189,7 @@ def _read_json(path: Path | str, build):
 
 
 def load_schema(path: Path | str) -> Schema:
-    return _read_json(
+    return read_json(
         path,
         lambda raw: Schema(tuple(raw["types"]), tuple(tuple(r) for r in raw["relations"])),
     )
@@ -260,10 +310,17 @@ def load_graph(directory: Path | str) -> HinGraph:
     schema = load_schema(directory / "schema.json")
     features = {}
     for t in schema.object_types:
-        fpath = directory / f"features_{t}.tsv"
+        fpath = directory / f"features_{t}.npy"
         if not fpath.exists():
+            old = fpath.with_suffix(".tsv")
+            if old.exists():
+                raise ValueError(
+                    f"{old}: features in the old dense-TSV layout; this version reads "
+                    f"{fpath.name}. Convert with: np.save('{fpath}', "
+                    f"np.loadtxt('{old}', skiprows=1, ndmin=2))"
+                )
             raise FileNotFoundError(f"missing feature file: {fpath}")
-        features[t] = load_dense(fpath)
+        features[t] = _load_features(fpath)
     adjacency = {}
     for src, dst in schema.relations:
         epath = directory / f"edges_{src}_{dst}.tsv"
@@ -282,7 +339,7 @@ def load_graph(directory: Path | str) -> HinGraph:
                 class_counts[t] = int(lab.max()) + 1
         spath = directory / f"split_{t}.json"
         if spath.exists():
-            splits[t] = _read_json(spath, _split_parts)
+            splits[t] = read_json(spath, _split_parts)
     return HinGraph(
         schema=schema,
         adjacency=adjacency,

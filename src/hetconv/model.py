@@ -42,7 +42,7 @@ from .graph import (
     normalized_adjacency,
     row_normalize,
 )
-from .io import load_dense, save_dense, write_json
+from .io import checked_matrix, load_npz, read_json, save_npz, write_json
 
 
 @dataclass
@@ -85,7 +85,7 @@ class ModelParams:
         return len(self.layers) + 1
 
     def named(self) -> dict[str, GradMatrix]:
-        """Flat name -> parameter map; names match checkpoint file names."""
+        """Flat name -> parameter map; names match the checkpoint's array names."""
         out: dict[str, GradMatrix] = {}
         for i, blocks in enumerate(self.layers):
             for omega, block in blocks.items():
@@ -289,7 +289,7 @@ def forward(
     return h, records
 
 
-def spectral_equivalence_check(
+def _spectral_equivalence(
     omega: str,
     gamma: str,
     h_omega: np.ndarray,
@@ -298,7 +298,7 @@ def spectral_equivalence_check(
     theta1: np.ndarray,
     adj_omega_gamma: SparseAdj,
     adj_gamma_omega: SparseAdj,
-) -> float:
+) -> tuple[float, float]:
     """Deviation between the layer's convolution and its spectral form.
 
     The first-order spectral convolution on the bipartite graph of the two
@@ -307,7 +307,8 @@ def spectral_equivalence_check(
     to a common width, and apply the shared filters theta0/theta1. The
     block rows of that computation must coincide with the per-relation
     convolution run with ``w_self = theta0`` and ``w_rel = theta1`` for
-    both types. Returns the maximum absolute elementwise deviation.
+    both types. Returns the maximum absolute elementwise deviation and the
+    maximum absolute value of the spectral output.
     """
     n_o, d_o = h_omega.shape
     n_g, d_g = h_gamma.shape
@@ -351,14 +352,33 @@ def spectral_equivalence_check(
     out_gamma = conv(h_gamma, h_omega, adj_gamma_omega)
     dev_o = np.abs(spectral[:n_o] - out_omega).max() if n_o else 0.0
     dev_g = np.abs(spectral[n_o:] - out_gamma).max() if n_g else 0.0
-    return float(max(dev_o, dev_g))
+    return float(max(dev_o, dev_g)), float(np.abs(spectral).max(initial=0.0))
+
+
+def spectral_equivalence_check(
+    omega: str,
+    gamma: str,
+    h_omega: np.ndarray,
+    h_gamma: np.ndarray,
+    theta0: np.ndarray,
+    theta1: np.ndarray,
+    adj_omega_gamma: SparseAdj,
+    adj_gamma_omega: SparseAdj,
+) -> float:
+    """The maximum absolute deviation of ``_spectral_equivalence``."""
+    return _spectral_equivalence(
+        omega, gamma, h_omega, h_gamma, theta0, theta1, adj_omega_gamma, adj_gamma_omega
+    )[0]
 
 
 def spectral_equivalence_on_graph(
     g: HinGraph, omega: str, gamma: str, seed: int = 0
-) -> float:
+) -> tuple[float, float]:
     """Run the equivalence check for one relation pair of a graph with
-    random shared filters. Errors if the reverse relation is missing."""
+    random shared filters. Returns the maximum absolute deviation and the
+    maximum absolute value of the spectral (reference) output, the scale
+    that rounding error grows with. Errors if the reverse relation is
+    missing."""
     if (gamma, omega) not in g.adjacency:
         raise KeyError(f"graph has no relation ({gamma}, {omega})")
     if (omega, gamma) not in g.adjacency:
@@ -370,7 +390,7 @@ def spectral_equivalence_on_graph(
     d_out = max(2, d // 2)
     theta0 = xavier_uniform(d, d_out, rng_mod.stream(seed, "spectral", omega, gamma, 0))
     theta1 = xavier_uniform(d, d_out, rng_mod.stream(seed, "spectral", omega, gamma, 1))
-    return spectral_equivalence_check(
+    return _spectral_equivalence(
         omega,
         gamma,
         h_o,
@@ -415,6 +435,10 @@ def schema_hash(schema: Schema) -> str:
 
 
 def save_model(directory: Path | str, params: ModelParams, schema: Schema) -> None:
+    """Write a checkpoint directory: ``model.json`` with the per-type layer
+    widths, attention width, mean-variant flag and the schema with its hash,
+    and ``model.npz``, one uncompressed float64 array per parameter named as
+    in ``params.named()``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_json(
@@ -431,30 +455,43 @@ def save_model(directory: Path | str, params: ModelParams, schema: Schema) -> No
             "schema_hash": schema_hash(schema),
         },
     )
-    for name, p in params.named().items():
-        save_dense(directory / f"{name}.tsv", p.value)
+    save_npz(directory / "model.npz", {name: p.value for name, p in params.named().items()})
+
+
+def _checkpoint_meta(raw) -> tuple[Schema, list[dict[str, int]], int, bool]:
+    schema = Schema(
+        tuple(raw["schema"]["types"]),
+        tuple(tuple(r) for r in raw["schema"]["relations"]),
+    )
+    dims = [{t: int(w) for t, w in layer.items()} for layer in raw["dims"]]
+    return schema, dims, int(raw["d_a"]), bool(raw["mean_variant"])
 
 
 def load_model(directory: Path | str) -> tuple[ModelParams, Schema]:
+    """Read a checkpoint written by ``save_model``.
+
+    ``model.npz`` must hold exactly the arrays ``params.named()`` names for
+    the widths in ``model.json``, each a finite float64 array of its
+    parameter's shape. Any other content, and a checkpoint of the old
+    layout (one ``L<layer>_<block>_<param>.tsv`` per parameter), is a
+    ValueError naming the file.
+    """
     directory = Path(directory)
-    with open(directory / "model.json") as f:
-        meta = json.load(f)
-    schema = Schema(
-        tuple(meta["schema"]["types"]),
-        tuple(tuple(r) for r in meta["schema"]["relations"]),
-    )
-    dims = [{t: int(w) for t, w in layer.items()} for layer in meta["dims"]]
-    params = init_params(
-        schema,
-        dims[0],
-        dims[1:],
-        d_a=int(meta["d_a"]),
-        seed=0,
-        mean_variant=bool(meta["mean_variant"]),
-    )
-    for name, p in params.named().items():
-        loaded = load_dense(directory / f"{name}.tsv")
-        if loaded.shape != p.value.shape:
-            raise ValueError(f"checkpoint parameter {name}: shape mismatch")
-        p.value = loaded
+    schema, dims, d_a, mean_variant = read_json(directory / "model.json", _checkpoint_meta)
+    params = init_params(schema, dims[0], dims[1:], d_a=d_a, seed=0, mean_variant=mean_variant)
+    path = directory / "model.npz"
+    if not path.exists() and any(directory.glob("L*.tsv")):
+        raise ValueError(
+            f"{directory}: checkpoint in the old layout of one L<layer>_<block>_<param>.tsv "
+            "per parameter; this version reads model.npz. Retrain, or convert with: "
+            f"d = pathlib.Path('{directory}'); np.savez(d / 'model.npz', "
+            "**{p.stem: np.loadtxt(p, skiprows=1, ndmin=2) for p in d.glob('L*.tsv')})"
+        )
+    arrays = load_npz(path)
+    named = params.named()
+    missing, extra = sorted(named.keys() - arrays.keys()), sorted(arrays.keys() - named.keys())
+    if missing or extra:
+        raise ValueError(f"{path}: missing arrays {missing}, unexpected arrays {extra}")
+    for name, p in named.items():
+        p.value = checked_matrix(f"{path}: {name}", arrays[name], p.value.shape)
     return params, schema

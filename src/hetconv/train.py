@@ -89,7 +89,10 @@ def adam_step(
     """Bias-corrected Adam update in place.
 
     The l2 penalty enters as an extra gradient term ``l2_weight * theta``
-    before the moment updates (coupled weight decay).
+    before the moment updates (coupled weight decay). A non-finite gradient
+    or second moment (``g * g`` overflows for huge finite gradients) raises
+    FloatingPointError naming the step, which is the epoch in ``fit``, and
+    the parameter, before that parameter is updated.
     """
     state.step += 1
     t = state.step
@@ -99,6 +102,12 @@ def adam_step(
             g = g + l2_weight * p.value
         state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
         state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
+        # a NaN or infinite gradient leaves v non-finite too, and a finite
+        # v means a finite g and so a finite m
+        if not np.isfinite(state.v[name]).all():
+            raise FloatingPointError(
+                f"epoch {t}: parameter {name}: non-finite gradient or moment"
+            )
         m_hat = state.m[name] / (1 - state.beta1**t)
         v_hat = state.v[name] / (1 - state.beta2**t)
         p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + state.eps)
@@ -224,10 +233,11 @@ def model_loss_gradcheck(
     if not labeled_idx:
         raise ValueError("gradcheck needs at least one labeled object")
     values = {k: p.value for k, p in params.named().items()}
+    norm_adj = normalized_adjacency(g)
 
     def f(leaves):
         model = clone_with(params, leaves)
-        final, _ = forward(model, g, mode="eval")
+        final, _ = forward(model, g, mode="eval", norm_adj=norm_adj)
         return cross_entropy_loss(final, g.labels, labeled_idx)
 
     return gradcheck(f, values, h=h, tol=tol)
@@ -243,7 +253,9 @@ def train_step(
     epoch: int,
 ) -> float:
     """One optimization step: train-mode forward on the whole graph, the
-    weighted loss over ``train_idx``, backward, Adam. Returns the loss.
+    weighted loss over ``train_idx``, backward, Adam. Returns the loss; a
+    non-finite loss raises FloatingPointError naming the epoch before the
+    backward pass.
 
     The dropout masks come from the stream of ``(cfg.seed, epoch)``, so a
     step is reproducible from its epoch number alone.
@@ -259,10 +271,13 @@ def train_step(
         norm_adj=norm_adj,
     )
     loss = cross_entropy_loss(h, g.labels, train_idx, cfg.loss_weights)
+    value = float(loss.value[0, 0])
+    if not np.isfinite(value):
+        raise FloatingPointError(f"epoch {epoch}: train loss is {value}")
     tape.backward(loss)
     adam_step(params.named(), adam, cfg.learning_rate, cfg.l2_weight)
     params.attach(None)
-    return float(loss.value[0, 0])
+    return value
 
 
 def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
@@ -272,7 +287,8 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     the train split, one backward pass, one optimizer step, then an
     eval-mode pass for the validation metrics. Keeps the parameters of
     the best validation epoch. The log holds one record per epoch. A
-    non-finite train loss raises FloatingPointError naming the epoch.
+    non-finite train loss, gradient or Adam moment raises
+    FloatingPointError naming the epoch.
     """
     problems = validate_graph(g)
     if problems:
@@ -297,8 +313,6 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         loss = train_step(g, params, adam, cfg, train_idx, norm_adj, epoch)
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"epoch {epoch}: train loss is {loss}")
         val_metrics = evaluate(params, g, val_idx, norm_adj=norm_adj) if val_idx else {}
         score = _val_score(val_metrics) if val_metrics else -loss
         record = {

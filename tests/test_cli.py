@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetconv import cli
 from hetconv.interpret import summary_to_json
@@ -62,6 +69,16 @@ def run_dir(data_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def huge_dir(data_dir, tmp_path_factory):
+    """The CLI graph with every value of ``features_A`` set to 1e200."""
+    out = tmp_path_factory.mktemp("huge") / "data"
+    shutil.copytree(data_dir, out)
+    feats = out / "features_A.npy"
+    np.save(feats, np.full_like(np.load(feats), 1e200))
+    return out
+
+
 def run_cli(args, **env):
     """``hetconv`` in a fresh interpreter, so an uncaught error prints its traceback."""
     env = dict(os.environ, **env)
@@ -107,11 +124,10 @@ class TestBadInputExitsData:
             ("split_P.json", '{"train": [0]}', "type P split train: 1 unlabeled objects"),
             ("split_A.json", '{"train": [0,\n', "split_A.json: Expecting value"),
             ("schema.json", '{"types": ["A", "P', "schema.json: Unterminated string"),
+            ("features_A.npy", "garbage", "features_A.npy: not a readable NumPy file"),
         ],
     )
     def test_bad_graph_file(self, data_dir, tmp_path, name, body, message):
-        import shutil
-
         broken = tmp_path / "broken"
         shutil.copytree(data_dir, broken)
         (broken / name).write_text(body)
@@ -130,30 +146,66 @@ class TestBadInputExitsData:
         assert "Traceback" not in proc.stderr
 
     def test_truncated_parameter_file(self, data_dir, run_dir, tmp_path):
-        import shutil
-
         ckpt = tmp_path / "model"
         shutil.copytree(run_dir / "model", ckpt)
-        param = sorted(ckpt.glob("*.tsv"))[0]
-        param.write_text(param.read_text()[: len(param.read_text()) // 2])
+        param = ckpt / "model.npz"
+        param.write_bytes(param.read_bytes()[: param.stat().st_size // 2])
         proc = run_cli(["evaluate", "--model", str(ckpt), "--data", str(data_dir)])
         assert proc.returncode == cli.EXIT_DATA
         assert param.name in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_checkpoint_array_names(self, data_dir, run_dir, tmp_path, change):
+        ckpt = tmp_path / "model"
+        shutil.copytree(run_dir / "model", ckpt)
+        with np.load(ckpt / "model.npz") as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        if change == "missing":
+            del arrays["L2_A_self"]
+        else:
+            arrays["L9_A_self"] = np.zeros((2, 2))
+        np.savez(ckpt / "model.npz", **arrays)
+        proc = run_cli(["evaluate", "--model", str(ckpt), "--data", str(data_dir)])
+        assert proc.returncode == cli.EXIT_DATA
+        want = {
+            "missing": "missing arrays ['L2_A_self'], unexpected arrays []",
+            "extra": "missing arrays [], unexpected arrays ['L9_A_self']",
+        }[change]
+        assert f"model.npz: {want}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_old_tsv_graph_layout(self, data_dir, tmp_path):
+        old = tmp_path / "old"
+        shutil.copytree(data_dir, old)
+        feats = np.load(old / "features_A.npy")
+        (old / "features_A.npy").unlink()
+        np.savetxt(old / "features_A.tsv", feats, fmt="%.17g", header=f"{len(feats)} 12",
+                   comments="")
+        proc = run_cli(["verify", "--data", str(old)])
+        assert proc.returncode == cli.EXIT_DATA
+        assert "features_A.tsv: features in the old dense-TSV layout" in proc.stderr
+        assert "np.loadtxt" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_old_tsv_checkpoint_layout(self, data_dir, run_dir, tmp_path):
+        ckpt = tmp_path / "model"
+        shutil.copytree(run_dir / "model", ckpt)
+        (ckpt / "model.npz").unlink()
+        (ckpt / "L2_A_self.tsv").write_text("1 1\n0\n")
+        proc = run_cli(["evaluate", "--model", str(ckpt), "--data", str(data_dir)])
+        assert proc.returncode == cli.EXIT_DATA
+        assert "checkpoint in the old layout" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestNumericFailure:
     def test_overflowing_features_exit_numeric(self, data_dir, tmp_path):
-        import shutil
-
-        import numpy as np
-
-        from hetconv.io import load_dense, save_dense
-
+        # 1e308 overflows the forward pass itself, so the first epoch's loss is NaN
         broken = tmp_path / "broken"
         shutil.copytree(data_dir, broken)
-        feats = broken / "features_A.tsv"
-        save_dense(feats, np.full_like(load_dense(feats), 1e200))
+        feats = broken / "features_A.npy"
+        np.save(feats, np.full_like(np.load(feats), 1e308))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"max_epochs": 8, "patience": 8}))
         proc = run_cli(
@@ -165,13 +217,27 @@ class TestNumericFailure:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "run" / "training_log.jsonl").exists()
 
+    def test_adam_moment_overflow_exits_numeric(self, huge_dir, tmp_path):
+        # the loss stays finite near 1e200, but g * g overflows Adam's second moment
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"layer_widths": [8, 4], "max_epochs": 8, "patience": 8}))
+        proc = run_cli(
+            ["train", "--data", str(huge_dir), "--config", str(cfg),
+             "--out", str(tmp_path / "run")]
+        )
+        assert proc.returncode == cli.EXIT_NUMERIC
+        assert "epoch 1: parameter L2_" in proc.stderr
+        assert "non-finite gradient or moment" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run" / "training_log.jsonl").exists()
+
 
 class TestGenerate:
     def test_writes_full_layout(self, data_dir):
         names = {p.name for p in data_dir.iterdir()}
         assert "schema.json" in names
         for t in ("P", "A", "C", "T"):
-            assert f"features_{t}.tsv" in names
+            assert f"features_{t}.npy" in names
         assert "edges_C_P.tsv" in names and "edges_P_C.tsv" in names
         assert "labels_A.tsv" in names
         assert "split_A.json" in names
@@ -216,8 +282,6 @@ class TestTrain:
         ).read_text()
 
     def test_missing_labels_names_file(self, data_dir, tmp_path, capsys):
-        import shutil
-
         broken = tmp_path / "nolabels"
         shutil.copytree(data_dir, broken)
         (broken / "labels_A.tsv").unlink()
@@ -236,8 +300,6 @@ class TestTrain:
         assert "learning_rat" in capsys.readouterr().err
 
     def test_validation_failure_exits_data(self, data_dir, tmp_path, capsys):
-        import shutil
-
         broken = tmp_path / "badgraph"
         shutil.copytree(data_dir, broken)
         edges = broken / "edges_A_P.tsv"
@@ -333,9 +395,13 @@ class TestVerify:
         assert "spectral_equivalence" in out and "FAIL" not in out
         assert "gradcheck PASS" in out
 
-    def test_corrupted_adjacency_fails(self, data_dir, tmp_path, capsys):
-        import shutil
+    def test_spectral_tolerance_scales_with_output(self, huge_dir, capsys):
+        cli.main(["verify", "--data", str(huge_dir), "--max-objects", "8"])
+        out = capsys.readouterr().out
+        assert "spectral_equivalence A<->P PASS" in out
+        assert "x scale 2.155e+200" in out
 
+    def test_corrupted_adjacency_fails(self, data_dir, tmp_path, capsys):
         broken = tmp_path / "corrupt"
         shutil.copytree(data_dir, broken)
         edges = broken / "edges_C_P.tsv"
@@ -382,3 +448,67 @@ class TestBenchmarkCommand:
         assert len(report["scales"]) == 5
         assert "linear fit" in capsys.readouterr().out
         assert (tmp_path / "bench.csv").exists()
+
+
+def _bad_npy(kind: str) -> bytes:
+    a = {
+        "float32": np.ones((4, 3), dtype=np.float32),
+        "1-D": np.ones(4),
+        "nan": np.full((4, 3), np.nan),
+        "object": np.array([[1.0, None]], dtype=object),
+    }[kind]
+    buf = io.BytesIO()
+    np.save(buf, a, allow_pickle=kind == "object")
+    return buf.getvalue()
+
+
+def corrupt(path: Path, how: tuple) -> None:
+    """Damage one file: ("truncate", fraction), ("byte", fraction, value),
+    ("empty",), ("delete",) or ("npy", kind)."""
+    raw = path.read_bytes()
+    if how[0] == "truncate":
+        path.write_bytes(raw[: int(how[1] * len(raw))])
+    elif how[0] == "byte":
+        at = min(int(how[1] * len(raw)), len(raw) - 1)
+        path.write_bytes(raw[:at] + bytes([how[2]]) + raw[at + 1:])
+    elif how[0] == "empty":
+        path.write_bytes(b"")
+    elif how[0] == "delete":
+        path.unlink()
+    else:
+        path.write_bytes(_bad_npy(how[1]))
+
+
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)),
+    st.tuples(st.just("byte"), st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+    st.tuples(st.sampled_from(["empty", "delete"])),
+    st.tuples(st.just("npy"), st.sampled_from(["float32", "1-D", "nan", "object"])),
+)
+
+
+def quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+class TestCorruptFiles:
+    """Whatever one damaged file holds, verify and evaluate end with a
+    documented exit code, never an exception."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.integers(0, 10**6), how=CORRUPTIONS)
+    def test_exit_code_not_exception(self, data_dir, run_dir, which, how):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, ckpt = Path(tmp) / "data", Path(tmp) / "model"
+            shutil.copytree(data_dir, data)
+            shutil.copytree(run_dir / "model", ckpt)
+            files = sorted(data.iterdir()) + sorted(ckpt.iterdir())
+            target = files[which % len(files)]
+            corrupt(target, how)
+            codes = [quiet_main(["evaluate", "--model", str(ckpt), "--data", str(data)])]
+            if target.parent == data:
+                codes.append(quiet_main(
+                    ["verify", "--data", str(data), "--max-objects", "8", "--max-features", "3"]
+                ))
+        assert set(codes) <= {0, 1, 2, 3}

@@ -1,4 +1,7 @@
+import io as stdio
 import json
+import pickle
+import zipfile
 
 import numpy as np
 import pytest
@@ -6,10 +9,10 @@ import pytest
 from hetconv.graph import HinGraph, Schema, SparseAdj, validate_graph
 from hetconv.io import (
     _load_edges,
+    _load_features,
     atomic_write_text,
-    load_dense,
     load_graph,
-    save_dense,
+    load_npz,
     save_graph,
     write_json,
 )
@@ -17,11 +20,10 @@ from hetconv.io import (
 EXTREMES = np.array([[-0.0, 5e-324, 1e300], [3.0, -2.0, 0.1], [1e16, 1e17, 2.5]])
 
 
-def reference_dense_text(m: np.ndarray) -> str:
-    """The dense format written one element at a time."""
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    lines += [" ".join(format(x, ".17g") for x in row) for row in m]
-    return "\n".join(lines) + "\n"
+def npy_bytes(a: np.ndarray, allow_pickle: bool = False) -> bytes:
+    buf = stdio.BytesIO()
+    np.save(buf, a, allow_pickle=allow_pickle)
+    return buf.getvalue()
 
 
 def golden_graph() -> HinGraph:
@@ -39,56 +41,112 @@ def golden_graph() -> HinGraph:
     )
 
 
+def _features_file(tmp_path, body: bytes):
+    (tmp_path / "features_X.npy").write_bytes(body)
+    return tmp_path / "features_X.npy"
+
+
 class TestDenseRoundTrip:
     def test_exact_round_trip(self, tmp_path):
-        m = np.random.default_rng(0).normal(size=(5, 3))
-        save_dense(tmp_path / "m.tsv", m)
-        assert np.array_equal(load_dense(tmp_path / "m.tsv"), m)
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        (tmp_path / "bad.tsv").write_text("2 2\n1 2\n")
-        with pytest.raises(ValueError, match="shape"):
-            load_dense(tmp_path / "bad.tsv")
-
-    def test_non_finite_rejected(self, tmp_path):
-        (tmp_path / "bad.tsv").write_text("1 2\nnan 1.0\n")
-        with pytest.raises(ValueError, match="non-finite"):
-            load_dense(tmp_path / "bad.tsv")
+        g = golden_graph()
+        g.features["B"] = EXTREMES
+        save_graph(tmp_path / "g", g)
+        back = load_graph(tmp_path / "g").features["B"]
+        assert back.dtype == np.float64
+        assert back.tobytes() == EXTREMES.tobytes()
 
     def test_golden_bytes(self, tmp_path):
-        save_dense(tmp_path / "m.tsv", EXTREMES)
-        assert (tmp_path / "m.tsv").read_text() == (
-            "3 3\n"
-            "-0 4.9406564584124654e-324 1.0000000000000001e+300\n"
-            "3 -2 0.10000000000000001\n"
-            "10000000000000000 1e+17 2.5\n"
-        )
-        back = load_dense(tmp_path / "m.tsv")
-        assert np.array_equal(back, EXTREMES)
+        g = golden_graph()
+        g.features["B"] = EXTREMES
+        save_graph(tmp_path / "g", g)
+        raw = (tmp_path / "g" / "features_B.npy").read_bytes()
+        assert raw == npy_bytes(EXTREMES)
+        assert b"'descr': '<f8', 'fortran_order': False, 'shape': (3, 3)" in raw
+        back = _load_features(tmp_path / "g" / "features_B.npy")
         assert np.signbit(back[0, 0])
-
-    def test_blocks_match_per_element_reference(self, tmp_path):
-        # more rows than one write block, with the extremes inside a block and at its seam
-        m = np.random.default_rng(1).normal(size=(601, 3)) * 1e3
-        m[[0, 255, 256, 600]] = EXTREMES[[0, 1, 2, 0]]
-        save_dense(tmp_path / "m.tsv", m)
-        assert (tmp_path / "m.tsv").read_text() == reference_dense_text(m)
-        assert np.array_equal(load_dense(tmp_path / "m.tsv"), m)
-
-    def test_truncated_body_names_file(self, tmp_path):
-        (tmp_path / "cut.tsv").write_text("2 3\n1 2 3\n4 5\n")
-        with pytest.raises(ValueError, match="cut.tsv"):
-            load_dense(tmp_path / "cut.tsv")
-
-    def test_bad_header_names_file(self, tmp_path):
-        (tmp_path / "bad.tsv").write_text("two 3\n")
-        with pytest.raises(ValueError, match="bad.tsv: first line"):
-            load_dense(tmp_path / "bad.tsv")
+        assert back[0, 1] == 5e-324 and back[0, 2] == 1e300
 
     def test_empty_matrix(self, tmp_path):
-        save_dense(tmp_path / "e.tsv", np.zeros((0, 4)))
-        out = load_dense(tmp_path / "e.tsv")
-        assert out.shape == (0, 4)
+        assert _load_features(_features_file(tmp_path, npy_bytes(np.zeros((0, 4))))).shape == (0, 4)
+
+    def test_header_mismatch_rejected(self, tmp_path):
+        body = npy_bytes(EXTREMES).replace(b"(3, 3)", b"(4, 3)")
+        with pytest.raises(ValueError, match="features_X.npy: not a readable NumPy file"):
+            _load_features(_features_file(tmp_path, body))
+
+    def test_non_finite_rejected(self, tmp_path):
+        body = npy_bytes(np.array([[1.0, np.nan]]))
+        with pytest.raises(ValueError, match="features_X.npy: non-finite value"):
+            _load_features(_features_file(tmp_path, body))
+
+    def test_truncated_body_names_file(self, tmp_path):
+        body = npy_bytes(EXTREMES)[:-5]
+        with pytest.raises(ValueError, match="features_X.npy: not a readable NumPy file"):
+            _load_features(_features_file(tmp_path, body))
+
+    def test_bad_header_names_file(self, tmp_path):
+        body = npy_bytes(EXTREMES)[:20]
+        with pytest.raises(ValueError, match="features_X.npy: not a readable NumPy file"):
+            _load_features(_features_file(tmp_path, body))
+
+    @pytest.mark.parametrize(
+        "body, check",
+        [
+            (b"", "not a readable NumPy file"),
+            (npy_bytes(np.array([[1.0, None]], dtype=object), allow_pickle=True),
+             "not a readable NumPy file .*allow_pickle"),
+            (pickle.dumps(EXTREMES), "not a readable NumPy file"),
+            (npy_bytes(EXTREMES).replace(b"(3, 3)", b"(3, 3 "), "not a readable NumPy file"),
+            (npy_bytes(np.ones((2, 2), dtype=np.float32)), "dtype float32, expected float64"),
+            (npy_bytes(np.ones(3)), r"shape \(3,\), expected 2-D"),
+        ],
+        ids=["empty", "object-array", "pickle", "unclosed-header", "float32", "1-D"],
+    )
+    def test_rejected_array_names_file(self, tmp_path, body, check):
+        with pytest.raises(ValueError, match=f"features_X.npy: {check}"):
+            _load_features(_features_file(tmp_path, body))
+
+    def test_archive_is_not_an_array(self, tmp_path):
+        with open(tmp_path / "features_X.npy", "wb") as f:
+            np.savez(f, a=EXTREMES)
+        with pytest.raises(ValueError, match="features_X.npy: an .npz archive"):
+            _load_features(tmp_path / "features_X.npy")
+
+
+def _one_member_archive(path, method=zipfile.ZIP_STORED) -> bytearray:
+    with zipfile.ZipFile(path, "w", compression=method) as z:
+        z.writestr("a.npy", npy_bytes(np.random.default_rng(0).normal(size=(50, 8))))
+    return bytearray(path.read_bytes())
+
+
+class TestArchives:
+    @pytest.mark.parametrize("method", [zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
+    def test_damaged_compressed_member_named(self, tmp_path, method):
+        raw = _one_member_archive(tmp_path / "m.npz", method)
+        raw[37] ^= 0xFF  # inside the compressed stream: the local header and name take 35 bytes
+        (tmp_path / "m.npz").write_bytes(raw)
+        with pytest.raises(ValueError, match="m.npz: not a readable NumPy file"):
+            load_npz(tmp_path / "m.npz")
+
+    @pytest.mark.parametrize("offset, value", [(10, 99), (8, 1)], ids=["method", "encrypted"])
+    def test_unsupported_member_named(self, tmp_path, offset, value):
+        raw = _one_member_archive(tmp_path / "m.npz")
+        raw[raw.index(b"PK\x01\x02") + offset] = value  # a central directory field
+        (tmp_path / "m.npz").write_bytes(raw)
+        with pytest.raises(ValueError, match="m.npz: not a readable NumPy file"):
+            load_npz(tmp_path / "m.npz")
+
+    def test_member_without_npy_magic_rejected(self, tmp_path):
+        with zipfile.ZipFile(tmp_path / "m.npz", "w") as z:
+            z.writestr("a.npy", npy_bytes(EXTREMES))
+            z.writestr("raw", b"not an array")
+        with pytest.raises(ValueError, match="m.npz: member raw is not a .npy array"):
+            load_npz(tmp_path / "m.npz")
+
+    def test_single_array_is_not_an_archive(self, tmp_path):
+        (tmp_path / "m.npz").write_bytes(npy_bytes(EXTREMES))
+        with pytest.raises(ValueError, match="m.npz: a single .npy array"):
+            load_npz(tmp_path / "m.npz")
 
 
 class TestGraphRoundTrip:
@@ -127,8 +185,15 @@ class TestGraphRoundTrip:
 
     def test_missing_feature_file_named(self, tmp_path, toy_graph):
         save_graph(tmp_path / "g", toy_graph)
-        (tmp_path / "g" / "features_A.tsv").unlink()
+        (tmp_path / "g" / "features_A.npy").unlink()
         with pytest.raises(FileNotFoundError, match="features_A"):
+            load_graph(tmp_path / "g")
+
+    def test_old_tsv_layout_named(self, tmp_path, toy_graph):
+        save_graph(tmp_path / "g", toy_graph)
+        (tmp_path / "g" / "features_A.npy").unlink()
+        (tmp_path / "g" / "features_A.tsv").write_text("3 2\n1 2\n3 4\n5 6\n")
+        with pytest.raises(ValueError, match="features_A.tsv: features in the old dense-TSV"):
             load_graph(tmp_path / "g")
 
     def test_missing_edge_file_named(self, tmp_path, toy_graph):
@@ -147,12 +212,15 @@ class TestGraphRoundTrip:
 class TestGoldenGraph:
     def test_tsv_bytes(self, tmp_path):
         save_graph(tmp_path / "g", golden_graph())
-        files = {p.name: p.read_text() for p in (tmp_path / "g").iterdir()}
-        assert files["edges_A_B.tsv"] == "1\t0\t0.5\n0\t2\t4.9406564584124654e-324\n1\t2\t7\n"
-        assert files["edges_B_A.tsv"] == "2\t0\t4.9406564584124654e-324\n0\t1\t0.5\n2\t1\t7\n"
-        assert files["features_A.tsv"] == "2 1\n1\n-0\n"
-        assert files["features_B.tsv"] == "3 1\n1.0000000000000001e+300\n0.10000000000000001\n-3\n"
-        assert files["labels_B.tsv"] == "0\t1\n2\t0\n"
+        files = {p.name: p.read_bytes() for p in (tmp_path / "g").iterdir()}
+        assert files["edges_A_B.tsv"] == b"1\t0\t0.5\n0\t2\t4.9406564584124654e-324\n1\t2\t7\n"
+        assert files["edges_B_A.tsv"] == b"2\t0\t4.9406564584124654e-324\n0\t1\t0.5\n2\t1\t7\n"
+        assert files["labels_B.tsv"] == b"0\t1\n2\t0\n"
+        for t, want in golden_graph().features.items():
+            got = np.load(tmp_path / "g" / f"features_{t}.npy", allow_pickle=False)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.signbit(np.load(tmp_path / "g" / "features_A.npy")[1, 0])
 
     def test_json_is_one_compact_line(self, tmp_path):
         save_graph(tmp_path / "g", golden_graph())

@@ -396,7 +396,9 @@ class TestSpectralEquivalence:
         assert dev <= 1e-10
 
     def test_graph_wrapper_and_missing_reverse(self, toy_graph):
-        assert spectral_equivalence_on_graph(toy_graph, "B", "A", seed=0) <= 1e-10
+        dev, scale = spectral_equivalence_on_graph(toy_graph, "B", "A", seed=0)
+        assert dev <= 1e-10
+        assert scale > 0
         one_way = HinGraph(
             schema=Schema(("A", "B", "C"), (("A", "B"), ("C", "B"))),
             adjacency={
