@@ -1,9 +1,16 @@
 """Dense kernels and a minimal reverse-mode tape.
 
-The tape is closed-world: it records exactly the primitives the model
-needs (dense and sparse products, ELU, fused type attention, dropout,
-row selection, elementwise add/mul, total sum, cross-entropy) and nothing
-else. All values are 2-D float64 arrays; a scalar is a 1x1 matrix.
+The tape is closed-world: it records exactly the five primitives the
+model needs and nothing else:
+
+- ``matmul``: dense product;
+- ``spmm``: sparse-dense product (the adjacency carries no gradient);
+- ``attend``: a block's type-level step, attention over the per-type
+  candidates, their mix and the output ELU;
+- ``dropout``: inverted dropout;
+- ``cross_entropy``: the whole weighted classification loss.
+
+All values are 2-D float64 arrays; a scalar is a 1x1 matrix.
 
 A ``GradMatrix`` is tracked when it carries a tape reference. Operations
 record a backward closure when any input is tracked; ``Tape.backward``
@@ -171,77 +178,37 @@ def spmm(a: SparseAdj, b: GradMatrix) -> GradMatrix:
     return out
 
 
-def _same_shape(op: str, a: GradMatrix, b: GradMatrix) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op} needs operands of one shape: {a.shape} vs {b.shape}")
+def _elu(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Exponential linear unit: x for x > 0, exp(x) - 1 otherwise.
 
-
-def add(a: GradMatrix, b: GradMatrix) -> GradMatrix:
-    _same_shape("add", a, b)
-    tape = _tape_of(a, b)
-    out = GradMatrix(a.value + b.value, tape)
-    if tape is not None:
-
-        def backward(g: np.ndarray) -> None:
-            _accum(a, g)
-            _accum(b, g)
-
-        tape.record(out, backward)
-    return out
-
-
-def mul(a: GradMatrix, b: GradMatrix) -> GradMatrix:
-    """Elementwise product of two same-shape operands."""
-    _same_shape("mul", a, b)
-    tape = _tape_of(a, b)
-    out = GradMatrix(a.value * b.value, tape)
-    if tape is not None:
-        av, bv = a.value, b.value
-
-        def backward(g: np.ndarray) -> None:
-            _accum(a, g * bv, own=True)
-            _accum(b, g * av, own=True)
-
-        tape.record(out, backward)
-    return out
-
-
-def elu(x: GradMatrix) -> GradMatrix:
-    """Exponential linear unit: x for x > 0, exp(x) - 1 otherwise."""
+    Returns a new array; given ``scratch`` (x's shape) for the negative
+    part, overwrites and returns ``x`` instead.
+    """
     # expm1(min(x, 0)) is 0 where x > 0 and never below x, so the maximum
     # picks the right branch; one buffer, no masks
-    out_val = np.minimum(x.value, 0.0)
-    np.expm1(out_val, out=out_val)
-    np.maximum(out_val, x.value, out=out_val)
-    tape = x.tape
-    out = GradMatrix(out_val, tape)
-    if tape is not None:
-
-        def backward(g: np.ndarray) -> None:
-            # the slope is 1 where x > 0 and exp(x) = out + 1 elsewhere
-            slope = np.minimum(out_val, 0.0)
-            slope += 1.0
-            slope *= g
-            _accum(x, slope, own=True)
-
-        tape.record(out, backward)
-    return out
+    neg = np.minimum(x, 0.0, out=scratch)
+    np.expm1(neg, out=neg)
+    return np.maximum(neg, x, out=neg if scratch is None else x)
 
 
 def attend(
     values: Sequence[GradMatrix],
-    key_map: GradMatrix | None = None,
-    query_map: GradMatrix | None = None,
+    w_k: GradMatrix | None = None,
+    w_q: GradMatrix | None = None,
+    w_a: GradMatrix | None = None,
 ) -> tuple[GradMatrix, np.ndarray]:
-    """Attention-weighted mix of k same-shape candidates, as one record.
+    """A block's type-level step as one record: attention over k same-shape
+    candidates, their weighted mix and the output ELU.
 
-    With the d x 1 ``key_map`` and ``query_map``, row i's weights are
-    softmax_j(ELU(values[j][i] @ key_map + values[0][i] @ query_map)):
+    With the d x d_a key map ``w_k``, query map ``w_q`` and the 2d_a x 1
+    attention vector ``w_a``, row i's weights are
+    softmax_j(ELU([values[j][i] @ w_k || values[0][i] @ w_q] @ w_a)):
     ``values[0]`` is the query side and every candidate is a key. Without
-    them every candidate weighs 1/k (the mean variant). Returns the mix
-    sum_j weight_j * values[j] and the n x k weights, column j belonging
-    to ``values[j]``. The backward pass differentiates logits, softmax and
-    mix together and skips every untracked operand.
+    them every candidate weighs 1/k (the mean variant). Returns
+    ELU(sum_j weight_j * values[j]) and the n x k weights, column j
+    belonging to ``values[j]``. The backward pass differentiates the ELU,
+    mix, softmax, logits and maps together and skips every untracked
+    operand.
     """
     if not values:
         raise ValueError("attend needs at least one candidate")
@@ -249,90 +216,74 @@ def attend(
     for z in values[1:]:
         if z.shape != (n, d):
             raise ValueError(f"attend candidates differ in shape: {(n, d)} vs {z.shape}")
-    if (key_map is None) != (query_map is None):
-        raise ValueError("attend needs both the key and the query map, or neither")
+    maps = tuple(m for m in (w_k, w_q, w_a) if m is not None)
+    if len(maps) not in (0, 3):
+        raise ValueError("attend needs the key map, the query map and w_a, or none")
     k = len(values)
-    maps: tuple[GradMatrix, ...] = ()
-    if key_map is None:
+    if not maps:
         att = np.full((n, k), 1.0 / k)
     else:
-        if key_map.shape != (d, 1) or query_map.shape != (d, 1):
+        d_a = w_k.shape[1]
+        if w_k.shape != (d, d_a) or w_q.shape != (d, d_a) or w_a.shape != (2 * d_a, 1):
             raise ValueError(
-                f"attend maps must be ({d}, 1), got {key_map.shape} and {query_map.shape}"
+                f"attend maps must be ({d}, {d_a}) and w_a ({2 * d_a}, 1), "
+                f"got {w_k.shape}, {w_q.shape} and {w_a.shape}"
             )
-        maps = (key_map, query_map)
-        q_score = values[0].value @ query_map.value
-        pre = np.hstack([z.value @ key_map.value for z in values]) + q_score
-        neg = np.minimum(pre, 0.0)
-        logits = np.where(pre > 0, pre, np.expm1(neg))
+        # the logit of [key || query] against w_a splits into two dot
+        # products; folding w_a's halves into the maps first keeps every
+        # per-object intermediate a single column
+        a_k, a_q = w_a.value[:d_a], w_a.value[d_a:]
+        key, query = w_k.value @ a_k, w_q.value @ a_q
+        pre = np.hstack([z.value @ key for z in values]) + values[0].value @ query
+        logits = _elu(pre)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         att = e / e.sum(axis=1, keepdims=True)
     mixed = att[:, :1] * values[0].value
     term = np.empty_like(mixed)
     for j in range(1, k):
         mixed += np.multiply(att[:, j : j + 1], values[j].value, out=term)
+    out_val = _elu(mixed, term)
     tape = _tape_of(*values, *maps)
-    out = GradMatrix(mixed, tape)
+    out = GradMatrix(out_val, tape)
     if tape is not None:
-        slope = np.where(pre > 0, 1.0, np.exp(neg)) if maps else None
 
         def backward(g: np.ndarray) -> None:
+            # the output ELU's slope is 1 where the mix is > 0 and
+            # exp(mix) = out + 1 elsewhere
+            g_mix = np.minimum(out_val, 0.0)
+            g_mix += 1.0
+            g_mix *= g
             grads = [
-                att[:, j : j + 1] * g if z.tape is not None else None
+                att[:, j : j + 1] * g_mix if z.tape is not None else None
                 for j, z in enumerate(values)
             ]
             if maps:
-                key, query = maps
-                d_att = np.column_stack([np.einsum("ij,ij->i", g, z.value) for z in values])
+                d_att = np.column_stack([np.einsum("ij,ij->i", g_mix, z.value) for z in values])
+                slope = np.exp(np.minimum(pre, 0.0))
                 d_pre = slope * att * (d_att - (d_att * att).sum(axis=1, keepdims=True))
                 d_q = d_pre.sum(axis=1, keepdims=True)
-                if key.tape is not None:
-                    d_key = values[0].value.T @ d_pre[:, :1]
-                    for j in range(1, k):
-                        d_key += values[j].value.T @ d_pre[:, j : j + 1]
-                    _accum(key, d_key, own=True)
-                if query.tape is not None:
-                    _accum(query, values[0].value.T @ d_q, own=True)
-                key_row, query_row = key.value.T, query.value.T
                 term = np.empty((n, d))
                 for j, gz in enumerate(grads):
                     if gz is not None:
-                        gz += np.multiply(d_pre[:, j : j + 1], key_row, out=term)
+                        gz += np.multiply(d_pre[:, j : j + 1], key.T, out=term)
                 if grads[0] is not None:
-                    grads[0] += np.multiply(d_q, query_row, out=term)
+                    grads[0] += np.multiply(d_q, query.T, out=term)
+                d_key = values[0].value.T @ d_pre[:, :1]
+                for j in range(1, k):
+                    d_key += values[j].value.T @ d_pre[:, j : j + 1]
+                d_query = values[0].value.T @ d_q
+                if w_k.tape is not None:
+                    _accum(w_k, d_key @ a_k.T, own=True)
+                if w_q.tape is not None:
+                    _accum(w_q, d_query @ a_q.T, own=True)
+                if w_a.tape is not None:
+                    _accum(w_a, np.vstack([w_k.value.T @ d_key, w_q.value.T @ d_query]), own=True)
             for z, gz in zip(values, grads):
                 if gz is not None:
                     _accum(z, gz, own=True)
 
         tape.record(out, backward)
     return out, att
-
-
-def row_select(x: GradMatrix, idx: np.ndarray) -> GradMatrix:
-    idx = np.asarray(idx, dtype=np.int64)
-    tape = x.tape
-    out = GradMatrix(x.value[idx], tape)
-    if tape is not None:
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(x.value)
-            np.add.at(full, idx, g)
-            _accum(x, full, own=True)
-
-        tape.record(out, backward)
-    return out
-
-
-def sum_all(x: GradMatrix) -> GradMatrix:
-    tape = x.tape
-    out = GradMatrix(np.array([[x.value.sum()]]), tape)
-    if tape is not None:
-
-        def backward(g: np.ndarray) -> None:
-            _accum(x, np.full_like(x.value, g[0, 0]), own=True)
-
-        tape.record(out, backward)
-    return out
 
 
 def dropout(
@@ -361,30 +312,45 @@ def dropout(
     return out
 
 
-def cross_entropy_rows(logits: GradMatrix, targets: np.ndarray) -> GradMatrix:
-    """Sum of -ln softmax(logits)[i, targets[i]] over all rows.
+def cross_entropy(
+    terms: Sequence[tuple[GradMatrix, np.ndarray, np.ndarray, float]],
+) -> GradMatrix:
+    """A whole classification loss as one record.
 
-    Fused log-sum-exp form: stable for large logits, and the backward pass
-    is softmax(logits) minus the one-hot targets.
+    Each term ``(logits, rows, targets, weight)`` adds ``weight`` times the
+    sum of -ln softmax(logits[rows[i]])[targets[i]] over i; terms are
+    summed in order. Fused log-sum-exp form: stable for large logits, and
+    the backward pass scatters weight * (softmax - onehot) onto the
+    selected rows, accumulating where a row repeats.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    n, c = logits.shape
-    if len(targets) != n:
-        raise ValueError(f"{len(targets)} targets for {n} rows")
-    if len(targets) and (targets.min() < 0 or targets.max() >= c):
-        raise ValueError(f"label index out of range for {c} classes")
-    x = logits.value
-    m = x.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
-    loss = float((lse - x[np.arange(n), targets]).sum())
-    tape = logits.tape
-    out = GradMatrix(np.array([[loss]]), tape)
+    saved = []
+    total = 0.0
+    for logits, rows, targets, weight in terms:
+        rows = np.asarray(rows, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        x = logits.value[rows]
+        n, c = x.shape
+        if len(targets) != n:
+            raise ValueError(f"{len(targets)} targets for {n} rows")
+        if n and (targets.min() < 0 or targets.max() >= c):
+            raise ValueError(f"label index out of range for {c} classes")
+        m = x.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
+        total += weight * float((lse - x[np.arange(n), targets]).sum())
+        saved.append((logits, rows, targets, weight, x, lse))
+    tape = _tape_of(*(s[0] for s in saved))
+    out = GradMatrix(np.array([[total]]), tape)
     if tape is not None:
 
         def backward(g: np.ndarray) -> None:
-            soft = np.exp(x - lse[:, None])
-            soft[np.arange(n), targets] -= 1.0
-            _accum(logits, g[0, 0] * soft, own=True)
+            for logits, rows, targets, weight, x, lse in saved:
+                if logits.tape is None:
+                    continue
+                soft = np.exp(x - lse[:, None])
+                soft[np.arange(len(rows)), targets] -= 1.0
+                full = np.zeros_like(logits.value)
+                np.add.at(full, rows, g[0, 0] * weight * soft)
+                _accum(logits, full, own=True)
 
         tape.record(out, backward)
     return out
@@ -401,15 +367,18 @@ class GradCheckReport:
     """Per-parameter comparison of analytic and central-difference gradients.
 
     ``rel_err[p]`` is max over elements of |analytic - numeric| /
-    max(|analytic|, |numeric|, 1): relative where gradients are O(1) or
-    larger, absolute below that so near-zero entries do not divide away
-    the tolerance.
+    max(|analytic|, |numeric|, floor): relative where gradients exceed the
+    floor, absolute below it so near-zero entries do not divide away the
+    tolerance. ``floor`` is max(1, eps * |f(x0)| / h), with eps the float64
+    machine epsilon: the rounding of f hides any gradient below about
+    that from a central difference. It is 1 while |f| < h / eps.
     """
 
     rel_err: dict[str, float]
     abs_err: dict[str, float]
     h: float
     tol: float
+    floor: float
     max_rel_err: float = field(init=False)
     passed: bool = field(init=False)
 
@@ -438,6 +407,7 @@ def gradcheck(
     out = f(leaves)
     if out.value.shape != (1, 1) or not np.isfinite(out.value[0, 0]):
         raise ValueError("gradcheck needs a finite scalar function value")
+    floor = max(1.0, np.finfo(np.float64).eps * abs(float(out.value[0, 0])) / h)
     tape.backward(out)
     analytic = {
         k: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
@@ -467,7 +437,7 @@ def gradcheck(
             flat[i] = orig
             num_flat[i] = (up - down) / (2.0 * h)
         diff = np.abs(analytic[name] - numeric)
-        denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric)), 1.0)
+        denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric)), floor)
         rel_err[name] = float((diff / denom).max()) if diff.size else 0.0
         abs_err[name] = float(diff.max()) if diff.size else 0.0
-    return GradCheckReport(rel_err=rel_err, abs_err=abs_err, h=h, tol=tol)
+    return GradCheckReport(rel_err=rel_err, abs_err=abs_err, h=h, tol=tol, floor=floor)

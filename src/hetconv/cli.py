@@ -301,9 +301,15 @@ def cmd_gradcheck(args) -> int:
     report = model_loss_gradcheck(small, cfg, h=args.h, tol=args.tol)
     for name in sorted(report.rel_err):
         print(f"{name}: rel_err={report.rel_err[name]:.3e} abs_err={report.abs_err[name]:.3e}")
-    status = "PASS" if report.passed else "FAIL"
-    print(f"gradcheck {status}: max rel err {report.max_rel_err:.3e} (tol {report.tol:g})")
+    print(_gradcheck_line(report))
     return EXIT_OK if report.passed else EXIT_NUMERIC
+
+
+def _gradcheck_line(report) -> str:
+    return (
+        f"gradcheck {'PASS' if report.passed else 'FAIL'}: max rel err "
+        f"{report.max_rel_err:.3e} (tol {report.tol:g}, floor {report.floor:.3e})"
+    )
 
 
 def cmd_verify(args) -> int:
@@ -340,10 +346,7 @@ def cmd_verify(args) -> int:
         cfg = TrainConfig(layer_widths=(4, 3), d_a=3, seed=args.seed)
         report = model_loss_gradcheck(small, cfg, h=1e-5, tol=GRADCHECK_TOL)
         failed |= not report.passed
-        print(
-            f"gradcheck {'PASS' if report.passed else 'FAIL'}: "
-            f"max rel err {report.max_rel_err:.3e} (tol {report.tol:g})"
-        )
+        print(_gradcheck_line(report))
     else:
         print("gradcheck SKIP: no labels in data")
     return EXIT_NUMERIC if failed else EXIT_OK

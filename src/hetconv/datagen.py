@@ -326,10 +326,7 @@ def spec_from_json(obj: Mapping) -> GenSpec:
         raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
     kwargs: dict = {"counts": dict(obj["counts"])}
     if "schema" in obj:
-        kwargs["schema"] = Schema(
-            tuple(obj["schema"]["types"]),
-            tuple(tuple(r) for r in obj["schema"]["relations"]),
-        )
+        kwargs["schema"] = Schema.from_json(obj["schema"])
     if "edges" in obj:
         kwargs["edges"] = tuple(
             EdgeSpec(

@@ -42,6 +42,18 @@ class Schema:
         if len(self.object_types) + len(self.relations) <= 2:
             raise ValueError("a heterogeneous graph needs |types| + |relations| > 2")
 
+    def to_json(self) -> dict:
+        """The JSON form ``{"types": [...], "relations": [[src, dst], ...]}``."""
+        return {
+            "types": list(self.object_types),
+            "relations": [list(r) for r in self.relations],
+        }
+
+    @classmethod
+    def from_json(cls, obj) -> "Schema":
+        """The schema of a ``to_json`` object."""
+        return cls(obj["types"], obj["relations"])
+
     def neighbor_types(self, omega: str) -> list[str]:
         """Source types with a relation into ``omega``, in declared order."""
         if omega not in self.object_types:
@@ -187,7 +199,7 @@ class HinGraph:
     ``adjacency[(src, dst)]`` has shape |V_dst| x |V_src|: rows index the
     relation's target objects. ``labels[t]`` holds a class id per object,
     -1 where unlabeled. ``splits[t]`` maps "train"/"val"/"test" to
-    disjoint index arrays over the labeled objects.
+    disjoint index arrays over the labeled objects, each without repeats.
     """
 
     schema: Schema
@@ -297,13 +309,17 @@ def validate_graph(g: HinGraph) -> list[str]:
 def _split_problems(
     t: str, parts: Mapping[str, np.ndarray], n: int, labels: np.ndarray | None
 ) -> list[str]:
-    """Out-of-range, unlabeled and shared objects in a type's split parts."""
+    """Out-of-range, repeated, unlabeled and shared objects in a type's
+    split parts."""
     v = []
     for k, idx in parts.items():
         outside = idx[(idx < 0) | (idx >= n)]
         if len(outside):
             v.append(f"type {t} split {k}: index {outside[0]} outside [0, {n})")
             continue
+        uniq, counts = np.unique(idx, return_counts=True)
+        if (counts > 1).any():
+            v.append(f"type {t} split {k}: index {uniq[counts > 1][0]} listed more than once")
         if labels is None or len(labels) == n:
             unlabeled = idx if labels is None else idx[labels[idx] < 0]
             if len(unlabeled):

@@ -270,19 +270,13 @@ def summary_to_json(summary: AttentionSummary) -> dict:
         transitions.append({"layers": f"{i + 1}-{i + 2}", "blocks": blocks})
     return {
         "n_layers": summary.n_layers,
-        "schema": {
-            "types": list(summary.schema.object_types),
-            "relations": [list(r) for r in summary.schema.relations],
-        },
+        "schema": summary.schema.to_json(),
         "transitions": transitions,
     }
 
 
 def summary_from_json(obj: Mapping) -> AttentionSummary:
-    schema = Schema(
-        tuple(obj["schema"]["types"]),
-        tuple(tuple(r) for r in obj["schema"]["relations"]),
-    )
+    schema = Schema.from_json(obj["schema"])
     tables = []
     for entry in obj["transitions"]:
         table = {}

@@ -34,14 +34,17 @@ from .graph import HinGraph, Schema, SparseAdj
 # whole.
 _BLOCK_ROWS = 256
 
+_NPY_MAGIC = b"\x93NUMPY"
+_ZIP_MAGIC = b"PK\x03\x04"
+
 _EDGE_DTYPE = np.dtype([("src", "i8"), ("dst", "i8"), ("weight", "f8")])
 _LABEL_DTYPE = np.dtype([("index", "i8"), ("cls", "i8")])
 
 
 # What np.load raises on a damaged .npy or .npz besides ValueError (a bad
-# header, a short body, a pickled object array): EOFError for an empty
-# file, TokenError for a header cut inside a bracket, OSError for an
-# unreadable file; for a damaged archive BadZipFile, RuntimeError
+# header, a short body, a pickled object array): TokenError for a header
+# cut inside a bracket, OSError for an unreadable file; for a damaged
+# archive BadZipFile, EOFError for a member cut short, RuntimeError
 # (NotImplementedError included) when a member's header names encryption
 # or an unknown compression method, and the decompressor's error on a
 # damaged compressed member (zlib.error, OSError from bz2, LZMAError).
@@ -104,11 +107,17 @@ def checked_matrix(where: str, a: np.ndarray, shape: tuple | None = None) -> np.
 
 
 def _np_load(path: Path):
-    """``np.load`` without pickle; a damaged file is a ValueError naming it."""
+    """``np.load`` without pickle; a file without NumPy magic, or a damaged
+    one, is a ValueError naming it."""
     try:
-        return np.load(path, allow_pickle=False)
+        with open(path, "rb") as f:
+            magic = f.read(len(_NPY_MAGIC))
+        # np.load would take any other file for a pickle
+        if magic == _NPY_MAGIC or magic.startswith(_ZIP_MAGIC):
+            return np.load(path, allow_pickle=False)
     except _DAMAGED_ARRAY_FILE as err:
         raise ValueError(f"{path}: not a readable NumPy file ({err})") from None
+    raise ValueError(f"{path}: not a NumPy .npy or .npz file (no NumPy magic)")
 
 
 def save_npz(path: Path | str, arrays: dict[str, np.ndarray]) -> None:
@@ -147,13 +156,7 @@ def _load_features(path: Path) -> np.ndarray:
 def save_graph(directory: Path | str, g: HinGraph) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_json(
-        directory / "schema.json",
-        {
-            "types": list(g.schema.object_types),
-            "relations": [list(r) for r in g.schema.relations],
-        },
-    )
+    write_json(directory / "schema.json", g.schema.to_json())
     for t, f in g.features.items():
         with _atomic_open(directory / f"features_{t}.npy", "wb") as out:
             np.save(out, np.ascontiguousarray(f, dtype=np.float64), allow_pickle=False)
@@ -189,10 +192,7 @@ def read_json(path: Path | str, build):
 
 
 def load_schema(path: Path | str) -> Schema:
-    return read_json(
-        path,
-        lambda raw: Schema(tuple(raw["types"]), tuple(tuple(r) for r in raw["relations"])),
-    )
+    return read_json(path, Schema.from_json)
 
 
 def _split_parts(raw) -> dict[str, np.ndarray]:

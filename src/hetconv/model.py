@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from .autodiff import (
     attend,
     constant,
     dropout,
-    elu,
     matmul,
-    row_select,
     spmm,
     xavier_uniform,
 )
@@ -89,14 +87,53 @@ class ModelParams:
         out: dict[str, GradMatrix] = {}
         for i, blocks in enumerate(self.layers):
             for omega, block in blocks.items():
-                for pname, p in block.named().items():
-                    out[f"L{i + 2}_{omega}_{pname}"] = p
+                for key, p in block.named().items():
+                    out[_param_name(i + 2, omega, key)] = p
         return out
 
     def attach(self, tape: Tape | None) -> None:
         """(Re-)register every parameter as a leaf of ``tape``."""
         for p in self.named().values():
             p.watch(tape)
+
+
+def _param_name(n: int, omega: str, key: str) -> str:
+    """Checkpoint name of block ``omega``'s parameter ``key`` at layer ``n``."""
+    return f"L{n}_{omega}_{key}"
+
+
+def _build_params(
+    schema: Schema,
+    dims: list[dict[str, int]],
+    d_a: int,
+    mean_variant: bool,
+    value: Callable[[int, str, str, tuple[int, int]], np.ndarray],
+) -> ModelParams:
+    """The parameter layout for per-layer widths ``dims``, each parameter
+    valued by ``value(n, omega, key, shape)``: layer ``n``, block type
+    ``omega``, and key ``self``, ``rel_<gamma>`` (neighbor types in schema
+    order), ``q``, ``k`` or ``a``."""
+    layers = []
+    for n in range(2, len(dims) + 1):
+        blocks: dict[str, BlockParams] = {}
+        for omega in schema.object_types:
+            d_out = dims[n - 1][omega]
+
+            def param(key, rows, cols):
+                return GradMatrix(value(n, omega, key, (rows, cols)))
+
+            blocks[omega] = BlockParams(
+                w_self=param("self", dims[n - 2][omega], d_out),
+                w_rel={
+                    gamma: param(f"rel_{gamma}", dims[n - 2][gamma], d_out)
+                    for gamma in schema.neighbor_types(omega)
+                },
+                w_q=param("q", d_out, d_a),
+                w_k=param("k", d_out, d_a),
+                w_a=param("a", 2 * d_a, 1),
+            )
+        layers.append(blocks)
+    return ModelParams(layers=layers, dims=dims, d_a=d_a, mean_variant=mean_variant)
 
 
 def init_params(
@@ -119,30 +156,12 @@ def init_params(
             dims.append({t: int(w[t]) for t in schema.object_types})
         else:
             dims.append({t: int(w) for t in schema.object_types})
-    layers = []
-    for n in range(2, len(dims) + 1):
-        blocks: dict[str, BlockParams] = {}
-        for omega in schema.object_types:
-            d_in = dims[n - 2][omega]
-            d_out = dims[n - 1][omega]
 
-            def init(rows, cols, *label):
-                return GradMatrix(
-                    xavier_uniform(rows, cols, rng_mod.stream(seed, "init", n, omega, *label))
-                )
+    def draw(n, omega, key, shape):
+        # the stream label of rel_<gamma> is ("rel", gamma)
+        return xavier_uniform(*shape, rng_mod.stream(seed, "init", n, omega, *key.split("_", 1)))
 
-            blocks[omega] = BlockParams(
-                w_self=init(d_in, d_out, "self"),
-                w_rel={
-                    gamma: init(dims[n - 2][gamma], d_out, "rel", gamma)
-                    for gamma in schema.neighbor_types(omega)
-                },
-                w_q=init(d_out, d_a, "q"),
-                w_k=init(d_out, d_a, "k"),
-                w_a=init(2 * d_a, 1, "a"),
-            )
-        layers.append(blocks)
-    return ModelParams(layers=layers, dims=dims, d_a=d_a, mean_variant=mean_variant)
+    return _build_params(schema, dims, d_a, mean_variant, draw)
 
 
 def aggregates_first(adj: SparseAdj, d_in: int, d_out: int) -> bool:
@@ -203,7 +222,8 @@ def type_attention(
     neighbor_order: Sequence[str],
     mean_variant: bool = False,
 ) -> tuple[GradMatrix, np.ndarray]:
-    """Type-level aggregation of the convolved representations.
+    """Type-level aggregation of the convolved representations, one
+    ``attend`` record.
 
     The self representation is mapped to the query, every candidate
     (self included) to a key; logits are ELU of the joined key/query
@@ -211,22 +231,15 @@ def type_attention(
     With ``mean_variant`` the distribution is replaced by the uniform one
     and the attention parameters are ignored.
 
-    Returns the new representations and the per-object attention, whose
+    Returns the new representations, the ELU of the attention-weighted
+    mix, and the per-object attention, whose
     column 0 is the block's own (dummy self) contribution and whose other
     columns follow ``neighbor_order``.
     """
     values = [z_self] + [z_gamma[g] for g in neighbor_order]
     if mean_variant:
-        mixed, att = attend(values)
-    else:
-        # the logit of [key || query] against w_a splits into two dot
-        # products; folding w_a's halves into the key/query maps first
-        # keeps every per-object intermediate a single column
-        d_a = block.w_q.shape[1]
-        key_map = matmul(block.w_k, row_select(block.w_a, np.arange(d_a)))
-        query_map = matmul(block.w_q, row_select(block.w_a, np.arange(d_a, 2 * d_a)))
-        mixed, att = attend(values, key_map, query_map)
-    return elu(mixed), att
+        return attend(values)
+    return attend(values, block.w_k, block.w_q, block.w_a)
 
 
 def forward(
@@ -412,13 +425,16 @@ def clone_with(params: ModelParams, named: Mapping[str, GradMatrix]) -> ModelPar
     for i, blocks in enumerate(params.layers):
         rebuilt = {}
         for omega, b in blocks.items():
-            prefix = f"L{i + 2}_{omega}_"
+
+            def leaf(key):
+                return named[_param_name(i + 2, omega, key)]
+
             rebuilt[omega] = BlockParams(
-                w_self=named[prefix + "self"],
-                w_rel={gm: named[prefix + f"rel_{gm}"] for gm in b.w_rel},
-                w_q=named[prefix + "q"],
-                w_k=named[prefix + "k"],
-                w_a=named[prefix + "a"],
+                w_self=leaf("self"),
+                w_rel={gm: leaf(f"rel_{gm}") for gm in b.w_rel},
+                w_q=leaf("q"),
+                w_k=leaf("k"),
+                w_a=leaf("a"),
             )
         layers.append(rebuilt)
     return ModelParams(
@@ -427,10 +443,7 @@ def clone_with(params: ModelParams, named: Mapping[str, GradMatrix]) -> ModelPar
 
 
 def schema_hash(schema: Schema) -> str:
-    canon = json.dumps(
-        {"types": list(schema.object_types), "relations": [list(r) for r in schema.relations]},
-        sort_keys=True,
-    )
+    canon = json.dumps(schema.to_json(), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -448,10 +461,7 @@ def save_model(directory: Path | str, params: ModelParams, schema: Schema) -> No
             "dims": params.dims,
             "d_a": params.d_a,
             "mean_variant": params.mean_variant,
-            "schema": {
-                "types": list(schema.object_types),
-                "relations": [list(r) for r in schema.relations],
-            },
+            "schema": schema.to_json(),
             "schema_hash": schema_hash(schema),
         },
     )
@@ -459,11 +469,8 @@ def save_model(directory: Path | str, params: ModelParams, schema: Schema) -> No
 
 
 def _checkpoint_meta(raw) -> tuple[Schema, list[dict[str, int]], int, bool]:
-    schema = Schema(
-        tuple(raw["schema"]["types"]),
-        tuple(tuple(r) for r in raw["schema"]["relations"]),
-    )
-    dims = [{t: int(w) for t, w in layer.items()} for layer in raw["dims"]]
+    schema = Schema.from_json(raw["schema"])
+    dims = [{t: int(layer[t]) for t in schema.object_types} for layer in raw["dims"]]
     return schema, dims, int(raw["d_a"]), bool(raw["mean_variant"])
 
 
@@ -478,7 +485,6 @@ def load_model(directory: Path | str) -> tuple[ModelParams, Schema]:
     """
     directory = Path(directory)
     schema, dims, d_a, mean_variant = read_json(directory / "model.json", _checkpoint_meta)
-    params = init_params(schema, dims[0], dims[1:], d_a=d_a, seed=0, mean_variant=mean_variant)
     path = directory / "model.npz"
     if not path.exists() and any(directory.glob("L*.tsv")):
         raise ValueError(
@@ -488,10 +494,17 @@ def load_model(directory: Path | str) -> tuple[ModelParams, Schema]:
             "**{p.stem: np.loadtxt(p, skiprows=1, ndmin=2) for p in d.glob('L*.tsv')})"
         )
     arrays = load_npz(path)
-    named = params.named()
-    missing, extra = sorted(named.keys() - arrays.keys()), sorted(arrays.keys() - named.keys())
+    missing = []
+
+    def take(n, omega, key, shape):
+        name = _param_name(n, omega, key)
+        if name not in arrays:
+            missing.append(name)
+            return np.zeros(shape)  # reported below with every other missing name
+        return checked_matrix(f"{path}: {name}", arrays[name], shape)
+
+    params = _build_params(schema, dims, d_a, mean_variant, take)
+    extra = sorted(arrays.keys() - params.named().keys())
     if missing or extra:
-        raise ValueError(f"{path}: missing arrays {missing}, unexpected arrays {extra}")
-    for name, p in named.items():
-        p.value = checked_matrix(f"{path}: {name}", arrays[name], p.value.shape)
+        raise ValueError(f"{path}: missing arrays {sorted(missing)}, unexpected arrays {extra}")
     return params, schema

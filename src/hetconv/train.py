@@ -9,17 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from . import rng as rng_mod
-from .autodiff import (
-    GradCheckReport,
-    GradMatrix,
-    Tape,
-    add,
-    constant,
-    cross_entropy_rows,
-    gradcheck,
-    mul,
-    row_select,
-)
+from .autodiff import GradCheckReport, GradMatrix, Tape, cross_entropy, gradcheck
 from .graph import HinGraph, Relation, RowNormalizedAdj, normalized_adjacency, validate_graph
 from .model import ModelParams, clone_with, forward, init_params
 
@@ -124,18 +114,15 @@ def cross_entropy_loss(
     Per-type weights are optional; the default is the plain (unweighted)
     sum over types.
     """
-    total: GradMatrix | None = None
+    terms = []
     for t in labeled_idx:
         idx = np.asarray(labeled_idx[t], dtype=np.int64)
-        if len(idx) == 0:
-            continue
-        term = cross_entropy_rows(row_select(final[t], idx), labels[t][idx])
-        if weights and t in weights:
-            term = mul(term, constant(np.array([[float(weights[t])]])))
-        total = term if total is None else add(total, term)
-    if total is None:
+        if len(idx):
+            weight = float(weights[t]) if weights and t in weights else 1.0
+            terms.append((final[t], idx, labels[t][idx], weight))
+    if not terms:
         raise ValueError("no labeled objects to compute a loss over")
-    return total
+    return cross_entropy(terms)
 
 
 def classification_metrics(

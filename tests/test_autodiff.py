@@ -5,18 +5,13 @@ from hetconv import rng as rng_mod
 from hetconv.autodiff import (
     GradMatrix,
     Tape,
-    add,
     attend,
     constant,
-    cross_entropy_rows,
+    cross_entropy,
     dropout,
-    elu,
     gradcheck,
     matmul,
-    mul,
-    row_select,
     spmm,
-    sum_all,
     xavier_uniform,
 )
 from hetconv.graph import SparseAdj
@@ -32,6 +27,13 @@ def fd_check(build, shapes, seed=0, tol=1e-5, h=1e-5):
     report = gradcheck(build, params, h=h, tol=tol)
     assert report.passed, f"max rel err {report.max_rel_err:.2e} > {tol:g}"
     return report
+
+
+def loss(x, seed=0):
+    """Cross-entropy of every row of ``x`` against targets fixed by ``seed``:
+    the scalar reduction of the finite-difference checks."""
+    targets = np.random.default_rng(seed).integers(0, x.shape[1], size=x.shape[0])
+    return cross_entropy([(x, np.arange(x.shape[0]), targets, 1.0)])
 
 
 class TestMatmul:
@@ -50,7 +52,7 @@ class TestMatmul:
 
     def test_gradient_matches_finite_differences(self):
         fd_check(
-            lambda p: sum_all(elu(matmul(p["a"], p["b"]))),
+            lambda p: loss(matmul(p["a"], p["b"])),
             {"a": (3, 4), "b": (4, 2)},
         )
 
@@ -62,7 +64,7 @@ class TestMatmul:
             tape = Tape()
             a = GradMatrix(x, tape if tracked == "both" else None)
             b = GradMatrix(w, tape)
-            tape.backward(sum_all(elu(matmul(a, b))))
+            tape.backward(loss(matmul(a, b)))
             grads[tracked] = b.grad
             if tracked == "w":
                 assert a.grad is None
@@ -93,70 +95,81 @@ class TestSpmm:
         dense = rng.random((4, 6)) * (rng.random((4, 6)) < 0.5)
         rows, cols = np.nonzero(dense)
         a = SparseAdj.from_edges(4, 6, rows, cols, dense[rows, cols])
-        fd_check(lambda p: sum_all(elu(spmm(a, p["b"]))), {"b": (6, 2)}, seed=4)
+        fd_check(lambda p: loss(spmm(a, p["b"])), {"b": (6, 2)}, seed=4)
 
 
 class TestElu:
+    """The output ELU of ``attend``: with one candidate the mix is the
+    candidate itself."""
+
     def test_values(self):
         x = constant(np.array([[0.0, 2.5, -1.0]]))
-        out = elu(x).value
+        out = attend([x])[0].value
         assert out[0, 0] == 0.0
         assert out[0, 1] == 2.5
         assert out[0, 2] == pytest.approx(np.expm1(-1.0))
 
     def test_large_positive_no_overflow(self):
-        out = elu(constant(np.array([[800.0]])))
+        out = attend([constant(np.array([[800.0]]))])[0]
         assert out.value[0, 0] == 800.0
 
     def test_gradient(self):
-        fd_check(lambda p: sum_all(elu(p["x"])), {"x": (3, 3)}, seed=5)
+        fd_check(lambda p: loss(attend([p["x"]])[0]), {"x": (3, 3)}, seed=5)
 
 
 class TestAttend:
-    def _dense(self, zs, key, query):
-        pre = np.hstack([z @ key for z in zs]) + zs[0] @ query
-        logits = np.where(pre > 0, pre, np.expm1(np.minimum(pre, 0)))
+    MAPS = {"k": (3, 2), "q": (3, 2), "a": (4, 1)}
+
+    def _dense(self, zs, w_k, w_q, w_a):
+        def elu(x):
+            return np.where(x > 0, x, np.expm1(np.minimum(x, 0)))
+
+        query = zs[0] @ w_q
+        logits = elu(np.hstack([np.hstack([z @ w_k, query]) @ w_a for z in zs]))
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         att = e / e.sum(axis=1, keepdims=True)
-        return sum(att[:, j : j + 1] * z for j, z in enumerate(zs)), att
+        return elu(sum(att[:, j : j + 1] * z for j, z in enumerate(zs))), att
 
     def test_matches_dense_formula(self):
         rng = np.random.default_rng(20)
         zs = [rng.normal(size=(6, 3)) for _ in range(3)]
-        key, query = rng.normal(size=(3, 1)), rng.normal(size=(3, 1))
-        mixed, att = attend([constant(z) for z in zs], constant(key), constant(query))
-        want_mixed, want_att = self._dense(zs, key, query)
-        assert np.abs(mixed.value - want_mixed).max() < 1e-12
+        maps = [rng.normal(size=shape) for shape in self.MAPS.values()]
+        out, att = attend([constant(z) for z in zs], *map(constant, maps))
+        want_out, want_att = self._dense(zs, *maps)
+        assert np.abs(out.value - want_out).max() < 1e-12
         assert np.abs(att - want_att).max() < 1e-12
+        assert (out.value < 0).any() and (out.value > 0).any()
 
     def test_uniform_without_maps(self):
         zs = [np.full((2, 2), 1.0), np.full((2, 2), 4.0)]
-        mixed, att = attend([constant(z) for z in zs])
+        out, att = attend([constant(z) for z in zs])
         assert np.all(att == 0.5)
-        assert np.all(mixed.value == 2.5)
+        assert np.all(out.value == 2.5)
 
     def test_bad_operands_rejected(self):
         z = constant(np.ones((2, 3)))
+        w_k, w_q = constant(np.ones((3, 2))), constant(np.ones((3, 2)))
         with pytest.raises(ValueError, match="differ in shape"):
             attend([z, constant(np.ones((2, 2)))])
-        with pytest.raises(ValueError, match="or neither"):
-            attend([z, z], constant(np.ones((3, 1))))
-        with pytest.raises(ValueError, match=r"\(3, 1\)"):
-            attend([z, z], constant(np.ones((2, 1))), constant(np.ones((2, 1))))
+        for partial in ((w_k,), (w_k, w_q), (None, w_q, constant(np.ones((4, 1))))):
+            with pytest.raises(ValueError, match="or none"):
+                attend([z, z], *partial)
+        with pytest.raises(ValueError, match=r"w_a \(4, 1\), got .* and \(3, 1\)"):
+            attend([z, z], w_k, w_q, constant(np.ones((3, 1))))
+        with pytest.raises(ValueError, match=r"\(3, 2\)"):
+            attend([z, z], w_k, constant(np.ones((2, 2))), constant(np.ones((4, 1))))
 
     def test_gradient_attention(self):
-        weights = constant(np.random.default_rng(21).normal(size=(4, 3)))
         fd_check(
-            lambda p: sum_all(mul(attend([p["z0"], p["z1"], p["z2"]], p["k"], p["q"])[0], weights)),
-            {"z0": (4, 3), "z1": (4, 3), "z2": (4, 3), "k": (3, 1), "q": (3, 1)},
+            lambda p: loss(attend([p["z0"], p["z1"], p["z2"]], p["k"], p["q"], p["a"])[0]),
+            {"z0": (4, 3), "z1": (4, 3), "z2": (4, 3), **self.MAPS},
             seed=22,
             tol=1e-4,
         )
 
     def test_gradient_uniform(self):
-        weights = constant(np.random.default_rng(23).normal(size=(4, 3)))
         fd_check(
-            lambda p: sum_all(mul(attend([p["z0"], p["z1"]])[0], weights)),
+            lambda p: loss(attend([p["z0"], p["z1"]])[0]),
             {"z0": (4, 3), "z1": (4, 3)},
             seed=24,
             tol=1e-4,
@@ -166,47 +179,33 @@ class TestAttend:
         rng = np.random.default_rng(25)
         fixed = [constant(rng.normal(size=(4, 3))) for _ in range(2)]
         fd_check(
-            lambda p: sum_all(elu(attend([fixed[0], p["z1"], fixed[1]], p["k"], p["q"])[0])),
-            {"z1": (4, 3), "k": (3, 1), "q": (3, 1)},
+            lambda p: loss(attend([fixed[0], p["z1"], fixed[1]], p["k"], p["q"], p["a"])[0]),
+            {"z1": (4, 3), **self.MAPS},
             seed=26,
             tol=1e-4,
         )
         fd_check(
-            lambda p: sum_all(elu(attend([p["z0"], fixed[0]], p["k"], p["q"])[0])),
-            {"z0": (4, 3), "k": (3, 1), "q": (3, 1)},
+            lambda p: loss(attend([p["z0"], fixed[0]], p["k"], p["q"], p["a"])[0]),
+            {"z0": (4, 3), **self.MAPS},
             seed=27,
             tol=1e-4,
         )
 
     def test_gradient_with_untracked_maps(self):
         rng = np.random.default_rng(28)
-        key, query = constant(rng.normal(size=(3, 1))), constant(rng.normal(size=(3, 1)))
+        maps = [constant(rng.normal(size=shape)) for shape in self.MAPS.values()]
         fd_check(
-            lambda p: sum_all(elu(attend([p["z0"], p["z1"], p["z2"]], key, query)[0])),
+            lambda p: loss(attend([p["z0"], p["z1"], p["z2"]], *maps)[0]),
             {"z0": (4, 3), "z1": (4, 3), "z2": (4, 3)},
             seed=29,
             tol=1e-4,
         )
 
-
-class TestRowSelectMulAdd:
-    def test_row_select_duplicates_accumulate(self):
-        tape = Tape()
-        x = GradMatrix(np.arange(6.0).reshape(3, 2), tape)
-        out = sum_all(row_select(x, np.array([1, 1, 0])))
-        tape.backward(out)
-        assert np.array_equal(x.grad, [[1, 1], [2, 2], [0, 0]])
-
-    def test_mismatched_shapes_rejected(self):
-        a, b = constant(np.ones((4, 1))), constant(np.ones((4, 3)))
-        for op in (add, mul):
-            with pytest.raises(ValueError, match=r"\(4, 1\) vs \(4, 3\)"):
-                op(a, b)
-
-    def test_add_gradient(self):
-        fd_check(
-            lambda p: sum_all(elu(add(p["a"], p["b"]))), {"a": (2, 3), "b": (2, 3)}, seed=10
-        )
+    def test_gradient_only_w_a_tracked(self):
+        rng = np.random.default_rng(30)
+        zs = [constant(rng.normal(size=(4, 3))) for _ in range(3)]
+        w_k, w_q = constant(rng.normal(size=(3, 2))), constant(rng.normal(size=(3, 2)))
+        fd_check(lambda p: loss(attend(zs, w_k, w_q, p["a"])[0]), {"a": (4, 1)}, seed=31, tol=1e-4)
 
 
 class TestDropout:
@@ -233,7 +232,7 @@ class TestDropout:
     def test_fixed_mask_gradient(self):
         # same stream seed on every evaluation: the mask is constant
         fd_check(
-            lambda p: sum_all(dropout(p["x"], 0.4, True, rng_mod.stream(3, "m"))),
+            lambda p: loss(dropout(p["x"], 0.4, True, rng_mod.stream(3, "m"))),
             {"x": (4, 4)},
             seed=11,
         )
@@ -241,22 +240,61 @@ class TestDropout:
 
 class TestCrossEntropyRows:
     def test_confident_correct_is_near_zero(self):
-        out = cross_entropy_rows(constant(np.array([[50.0, -50.0]])), np.array([0]))
+        out = cross_entropy([(constant(np.array([[50.0, -50.0]])), [0], [0], 1.0)])
         assert out.value[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_prediction_is_log_k(self):
-        out = cross_entropy_rows(constant(np.zeros((1, 4))), np.array([2]))
+        out = cross_entropy([(constant(np.zeros((1, 4))), [0], [2], 1.0)])
         assert out.value[0, 0] == pytest.approx(np.log(4.0))
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label index"):
-            cross_entropy_rows(constant(np.zeros((1, 3))), np.array([3]))
+            cross_entropy([(constant(np.zeros((1, 3))), [0], [3], 1.0)])
+
+    def test_targets_match_rows(self):
+        with pytest.raises(ValueError, match="2 targets for 1 rows"):
+            cross_entropy([(constant(np.zeros((3, 3))), [1], [0, 2], 1.0)])
 
     def test_gradient(self):
         targets = np.array([0, 2, 1, 1])
         fd_check(
-            lambda p: cross_entropy_rows(p["x"], targets), {"x": (4, 3)}, seed=12
+            lambda p: cross_entropy([(p["x"], np.arange(4), targets, 1.0)]),
+            {"x": (4, 3)},
+            seed=12,
         )
+
+    def test_gradient_two_logits(self):
+        fd_check(
+            lambda p: cross_entropy(
+                [(p["x"], [3, 0, 3], [1, 0, 2], 0.7), (p["y"], [1, 0], [0, 1], 1.5)]
+            ),
+            {"x": (4, 3), "y": (2, 2)},
+            seed=13,
+        )
+
+    def test_weighted_terms_and_repeated_rows(self):
+        # uniform logits: every row's loss is ln 2, its softmax [0.5, 0.5]
+        tape = Tape()
+        x = GradMatrix(np.zeros((3, 2)), tape)
+        y = GradMatrix(np.zeros((1, 2)), tape)
+        out = cross_entropy([(x, [1, 1, 0], [0, 0, 1], 2.0), (y, [0], [1], 0.5)])
+        assert out.value[0, 0] == pytest.approx((2.0 * 3 + 0.5) * np.log(2.0))
+        tape.backward(out)
+        assert np.array_equal(x.grad, [[1.0, -1.0], [-2.0, 2.0], [0.0, 0.0]])
+        assert np.array_equal(y.grad, [[0.25, -0.25]])
+
+    def test_untracked_term_gets_no_gradient(self):
+        rng = np.random.default_rng(14)
+        logits = rng.normal(size=(3, 2))
+        tape = Tape()
+        x = GradMatrix(logits, tape)
+        y = constant(rng.normal(size=(2, 2)))
+        tape.backward(cross_entropy([(x, [0, 2], [1, 0], 1.0), (y, [1], [0], 1.0)]))
+        assert y.grad is None
+        soft = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        want = np.zeros((3, 2))
+        want[[0, 2]] = soft[[0, 2]] - np.eye(2)[[1, 0]]
+        assert np.abs(x.grad - want).max() < 1e-15
 
 
 class TestXavierUniform:
@@ -284,19 +322,34 @@ class TestXavierUniform:
 
 
 class TestGradcheck:
-    def test_sum_of_squares_closed_form(self):
+    def test_softmax_closed_form(self):
         def f(p):
-            return sum_all(mul(p["x"], p["x"]))
+            return cross_entropy([(p["x"], [0], [1], 1.0)])
 
         x = np.array([[1.0, 2.0]])
         tape = Tape()
         leaf = GradMatrix(x, tape)
         out = f({"x": leaf})
         tape.backward(out)
-        assert np.allclose(leaf.grad, [[2.0, 4.0]])
+        soft = np.exp(x) / np.exp(x).sum()
+        assert np.allclose(leaf.grad, soft - [[0.0, 1.0]])
         report = gradcheck(f, {"x": x}, h=1e-6, tol=1e-8)
         assert report.passed
         assert report.max_rel_err < 1e-8
+        assert report.floor == 1.0
+
+    def test_floor_scales_with_function_value(self):
+        # next to a 1e200 term, y's O(1) gradient is below the rounding of
+        # f: every central difference in y is exactly 0
+        def f(p):
+            return cross_entropy([(p["x"], [0], [0], 1e200), (p["y"], [0], [0], 1.0)])
+
+        values = {"x": np.array([[0.0, 1.0]]), "y": np.array([[0.0, 1.0]])}
+        report = gradcheck(f, values)
+        value = f({k: constant(v) for k, v in values.items()}).value[0, 0]
+        assert report.floor == pytest.approx(np.finfo(np.float64).eps * value / report.h)
+        assert report.abs_err["y"] == pytest.approx(np.e / (1.0 + np.e))
+        assert report.passed
 
     def test_constant_function_zero_gradient(self):
         report = gradcheck(
@@ -312,7 +365,7 @@ class TestGradcheck:
 
     def test_bad_h_rejected(self):
         with pytest.raises(ValueError, match="h"):
-            gradcheck(lambda p: sum_all(p["x"]), {"x": np.ones((1, 1))}, h=0.0)
+            gradcheck(lambda p: loss(p["x"]), {"x": np.ones((1, 1))}, h=0.0)
 
 
 class TestTapeDeterminism:
@@ -323,9 +376,9 @@ class TestTapeDeterminism:
         for _ in range(2):
             tape = Tape()
             leaf = GradMatrix(x.copy(), tape)
-            hidden = dropout(elu(leaf), 0.3, True, rng_mod.stream(9, "d"))
-            key, query = constant(np.ones((4, 1))), constant(np.full((4, 1), 0.5))
-            out, _ = attend([hidden, leaf], key, query)
+            hidden = dropout(leaf, 0.3, True, rng_mod.stream(9, "d"))
+            w_k, w_q = constant(np.ones((4, 2))), constant(np.full((4, 2), 0.5))
+            out, _ = attend([hidden, leaf], w_k, w_q, constant(np.ones((4, 1))))
             outs.append(out.value.copy())
         assert np.array_equal(outs[0], outs[1])
 
@@ -333,10 +386,10 @@ class TestTapeDeterminism:
         a = GradMatrix(np.ones((1, 1)), Tape())
         b = GradMatrix(np.ones((1, 1)), Tape())
         with pytest.raises(ValueError, match="different tapes"):
-            add(a, b)
+            matmul(a, b)
 
     def test_backward_needs_scalar(self):
         tape = Tape()
         x = GradMatrix(np.ones((2, 2)), tape)
         with pytest.raises(ValueError, match="scalar"):
-            tape.backward(elu(x))
+            tape.backward(matmul(x, x))

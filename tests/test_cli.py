@@ -121,10 +121,13 @@ class TestBadInputExitsData:
              "type A split train: index 999 outside [0, 40)"),
             ("split_A.json", '{"train": [0, 1], "val": [2], "test": [1, 3]}',
              "type A: split parts train and test share 1 objects"),
+            ("split_A.json", '{"train": [0, 1], "test": [2, 3, 2]}',
+             "type A split test: index 2 listed more than once"),
             ("split_P.json", '{"train": [0]}', "type P split train: 1 unlabeled objects"),
             ("split_A.json", '{"train": [0,\n', "split_A.json: Expecting value"),
             ("schema.json", '{"types": ["A", "P', "schema.json: Unterminated string"),
-            ("features_A.npy", "garbage", "features_A.npy: not a readable NumPy file"),
+            ("features_A.npy", "garbage",
+             "features_A.npy: not a NumPy .npy or .npz file (no NumPy magic)"),
         ],
     )
     def test_bad_graph_file(self, data_dir, tmp_path, name, body, message):
@@ -135,6 +138,7 @@ class TestBadInputExitsData:
         assert proc.returncode == cli.EXIT_DATA
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "allow_pickle" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["evaluate", "explain"])
     def test_missing_checkpoint(self, data_dir, tmp_path, command):
@@ -401,6 +405,14 @@ class TestVerify:
         assert "spectral_equivalence A<->P PASS" in out
         assert "x scale 2.155e+200" in out
 
+    def test_gradcheck_floor_scales_with_loss(self, huge_dir, capsys):
+        code = cli.main(["verify", "--data", str(huge_dir)])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_OK, out
+        assert "gradcheck PASS" in out
+        floor = float(out.split("floor ")[1].split(")")[0])
+        assert floor > 1e180
+
     def test_corrupted_adjacency_fails(self, data_dir, tmp_path, capsys):
         broken = tmp_path / "corrupt"
         shutil.copytree(data_dir, broken)
@@ -493,8 +505,8 @@ def quiet_main(argv) -> int:
 
 
 class TestCorruptFiles:
-    """Whatever one damaged file holds, verify and evaluate end with a
-    documented exit code, never an exception."""
+    """Whatever one damaged file holds, verify, evaluate and train end with
+    a documented exit code, never an exception."""
 
     @settings(max_examples=60, deadline=None)
     @given(which=st.integers(0, 10**6), how=CORRUPTIONS)
@@ -510,5 +522,10 @@ class TestCorruptFiles:
             if target.parent == data:
                 codes.append(quiet_main(
                     ["verify", "--data", str(data), "--max-objects", "8", "--max-features", "3"]
+                ))
+                cfg = Path(tmp) / "config.json"
+                cfg.write_text(json.dumps(dict(TRAIN_CFG, max_epochs=2, patience=2)))
+                codes.append(quiet_main(
+                    ["train", "--data", str(data), "--config", str(cfg), "--out", str(Path(tmp) / "run")]
                 ))
         assert set(codes) <= {0, 1, 2, 3}

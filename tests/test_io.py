@@ -92,10 +92,10 @@ class TestDenseRoundTrip:
     @pytest.mark.parametrize(
         "body, check",
         [
-            (b"", "not a readable NumPy file"),
+            (b"", r"not a NumPy .npy or .npz file \(no NumPy magic\)"),
             (npy_bytes(np.array([[1.0, None]], dtype=object), allow_pickle=True),
              "not a readable NumPy file .*allow_pickle"),
-            (pickle.dumps(EXTREMES), "not a readable NumPy file"),
+            (pickle.dumps(EXTREMES), r"not a NumPy .npy or .npz file \(no NumPy magic\)"),
             (npy_bytes(EXTREMES).replace(b"(3, 3)", b"(3, 3 "), "not a readable NumPy file"),
             (npy_bytes(np.ones((2, 2), dtype=np.float32)), "dtype float32, expected float64"),
             (npy_bytes(np.ones(3)), r"shape \(3,\), expected 2-D"),

@@ -224,8 +224,8 @@ class TestTypeAttention:
 
     def test_block_forward_tape_records(self, dblp_schema):
         # P has three neighbor types: a self product, two records per
-        # relation, and six for attention (two row selections and two
-        # products for the key/query maps, attend, the output ELU)
+        # relation, and one attend record for the whole type-level step
+        # (key/query maps, logits, softmax, mix, output ELU)
         params = init_params(dblp_schema, {t: 4 for t in dblp_schema.object_types}, [3], d_a=2, seed=0)
         tape = Tape()
         params.attach(tape)
@@ -235,7 +235,7 @@ class TestTypeAttention:
         order = dblp_schema.neighbor_types("P")
         z_self, z_gamma = hetero_conv(block, h["P"], h, {g: identity_adj(5) for g in order})
         type_attention(block, z_self, z_gamma, order)
-        assert len(tape._records) == 13
+        assert len(tape._records) == 8
 
 
 class TestForward:
@@ -430,5 +430,8 @@ class TestCheckpoint:
         assert np.array_equal(a["B"].value, b["B"].value)
 
     def test_schema_hash_stable_and_sensitive(self, dblp_schema, toy_graph):
-        assert schema_hash(dblp_schema) == schema_hash(dblp_schema)
+        # pinned: a checkpoint stores this hash, so a change would orphan it
+        assert schema_hash(dblp_schema) == (
+            "81714d7a272ffae6d71bb52b979f6985719b5573ae5cf6a50f88e2de67f20332"
+        )
         assert schema_hash(dblp_schema) != schema_hash(toy_graph.schema)
