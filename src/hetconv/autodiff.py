@@ -10,7 +10,12 @@ model needs and nothing else:
 - ``dropout``: inverted dropout;
 - ``cross_entropy``: the whole weighted classification loss.
 
-All values are 2-D float64 arrays; a scalar is a 1x1 matrix.
+All values are 2-D float32 or float64 arrays; a scalar is a 1x1 matrix.
+Every primitive computes in its operands' dtype, which ``model.forward``
+chooses (float32 for training by default, see ``train.TrainConfig.dtype``).
+Probabilities and losses are float64 either way: ``attend`` computes its
+attention logits and softmax, and ``cross_entropy`` its log-sum-exp, in
+float64 and hands the gradients back in the operands' dtype.
 
 A ``GradMatrix`` is tracked when it carries a tape reference. Operations
 record a backward closure when any input is tracked; ``Tape.backward``
@@ -83,7 +88,7 @@ class Tape:
             raise ValueError(f"backward needs a scalar loss, got {loss.value.shape}")
         if loss.tape is not self:
             return  # constant loss: all gradients stay zero
-        loss.grad = np.ones((1, 1))
+        loss.grad = np.ones((1, 1), dtype=loss.value.dtype)
         records = self._records
         while records:
             out, backward = records.pop()
@@ -91,13 +96,22 @@ class Tape:
                 backward(out.grad)
 
 
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class GradMatrix:
-    """A 2-D float64 value, optionally tracked on a tape."""
+    """A 2-D float32 or float64 value, optionally tracked on a tape.
+
+    Float32 and float64 values are kept as they are; any other value is
+    cast to float64.
+    """
 
     __slots__ = ("value", "tape", "node_id", "grad")
 
     def __init__(self, value: np.ndarray, tape: Tape | None = None):
-        value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        if value.dtype not in _FLOATS:
+            value = value.astype(np.float64)
         if value.ndim != 2:
             raise ValueError(f"GradMatrix must be 2-D, got shape {value.shape}")
         self.value = value
@@ -209,6 +223,10 @@ def attend(
     belonging to ``values[j]``. The backward pass differentiates the ELU,
     mix, softmax, logits and maps together and skips every untracked
     operand.
+
+    The logits, softmax and their backward run in float64 (k is small),
+    and the returned weights are float64; the mix, the output ELU and
+    every n x d gradient run in the candidates' dtype.
     """
     if not values:
         raise ValueError("attend needs at least one candidate")
@@ -220,6 +238,7 @@ def attend(
     if len(maps) not in (0, 3):
         raise ValueError("attend needs the key map, the query map and w_a, or none")
     k = len(values)
+    dtype = values[0].value.dtype
     if not maps:
         att = np.full((n, k), 1.0 / k)
     else:
@@ -231,17 +250,23 @@ def attend(
             )
         # the logit of [key || query] against w_a splits into two dot
         # products; folding w_a's halves into the maps first keeps every
-        # per-object intermediate a single column
-        a_k, a_q = w_a.value[:d_a], w_a.value[d_a:]
-        key, query = w_k.value @ a_k, w_q.value @ a_q
-        pre = np.hstack([z.value @ key for z in values]) + values[0].value @ query
+        # per-object intermediate a single column; the maps are read in the
+        # candidates' dtype
+        m_k, m_q, m_a = (m.value.astype(dtype, copy=False) for m in maps)
+        a_k, a_q = m_a[:d_a], m_a[d_a:]
+        key, query = m_k @ a_k, m_q @ a_q
+        # the n x k logits and softmax are float64 whatever the compute dtype
+        pre = np.hstack([z.value @ key for z in values], dtype=np.float64)
+        pre += values[0].value @ query
         logits = _elu(pre)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         att = e / e.sum(axis=1, keepdims=True)
-    mixed = att[:, :1] * values[0].value
+    # the mix runs in the candidates' dtype, with the weights cast once
+    weights = att.astype(dtype, copy=False)
+    mixed = weights[:, :1] * values[0].value
     term = np.empty_like(mixed)
     for j in range(1, k):
-        mixed += np.multiply(att[:, j : j + 1], values[j].value, out=term)
+        mixed += np.multiply(weights[:, j : j + 1], values[j].value, out=term)
     out_val = _elu(mixed, term)
     tape = _tape_of(*values, *maps)
     out = GradMatrix(out_val, tape)
@@ -254,15 +279,19 @@ def attend(
             g_mix += 1.0
             g_mix *= g
             grads = [
-                att[:, j : j + 1] * g_mix if z.tape is not None else None
+                weights[:, j : j + 1] * g_mix if z.tape is not None else None
                 for j, z in enumerate(values)
             ]
             if maps:
                 d_att = np.column_stack([np.einsum("ij,ij->i", g_mix, z.value) for z in values])
+                d_att = d_att.astype(np.float64, copy=False)
                 slope = np.exp(np.minimum(pre, 0.0))
                 d_pre = slope * att * (d_att - (d_att * att).sum(axis=1, keepdims=True))
                 d_q = d_pre.sum(axis=1, keepdims=True)
-                term = np.empty((n, d))
+                # back to the compute dtype for the n x d and parameter products
+                d_pre = d_pre.astype(dtype, copy=False)
+                d_q = d_q.astype(dtype, copy=False)
+                term = np.empty((n, d), dtype=dtype)
                 for j, gz in enumerate(grads):
                     if gz is not None:
                         gz += np.multiply(d_pre[:, j : j + 1], key.T, out=term)
@@ -277,7 +306,7 @@ def attend(
                 if w_q.tape is not None:
                     _accum(w_q, d_query @ a_q.T, own=True)
                 if w_a.tape is not None:
-                    _accum(w_a, np.vstack([w_k.value.T @ d_key, w_q.value.T @ d_query]), own=True)
+                    _accum(w_a, np.vstack([m_k.T @ d_key, m_q.T @ d_query]), own=True)
             for z, gz in zip(values, grads):
                 if gz is not None:
                     _accum(z, gz, own=True)
@@ -319,16 +348,17 @@ def cross_entropy(
 
     Each term ``(logits, rows, targets, weight)`` adds ``weight`` times the
     sum of -ln softmax(logits[rows[i]])[targets[i]] over i; terms are
-    summed in order. Fused log-sum-exp form: stable for large logits, and
-    the backward pass scatters weight * (softmax - onehot) onto the
-    selected rows, accumulating where a row repeats.
+    summed in order. Fused log-sum-exp form in float64 over the selected
+    rows: stable for large logits, and the backward pass scatters
+    weight * (softmax - onehot) onto those rows in the logits' dtype,
+    accumulating where a row repeats. The loss is float64.
     """
     saved = []
     total = 0.0
     for logits, rows, targets, weight in terms:
         rows = np.asarray(rows, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
-        x = logits.value[rows]
+        x = logits.value[rows].astype(np.float64, copy=False)
         n, c = x.shape
         if len(targets) != n:
             raise ValueError(f"{len(targets)} targets for {n} rows")
@@ -349,7 +379,8 @@ def cross_entropy(
                 soft = np.exp(x - lse[:, None])
                 soft[np.arange(len(rows)), targets] -= 1.0
                 full = np.zeros_like(logits.value)
-                np.add.at(full, rows, g[0, 0] * weight * soft)
+                soft = (float(g[0, 0]) * weight * soft).astype(full.dtype, copy=False)
+                np.add.at(full, rows, soft)
                 _accum(logits, full, own=True)
 
         tape.record(out, backward)

@@ -138,8 +138,14 @@ def cmd_train(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     resolved = dataclasses.asdict(cfg)
+    # the dtype in effect: float64 where the features exceed the float32 range
     resolved.update(
-        {"data": str(args.data), "out": str(args.out), "dims": params.dims}
+        {
+            "data": str(args.data),
+            "out": str(args.out),
+            "dims": params.dims,
+            "dtype": params.dtype.name,
+        }
     )
     write_json(out / "resolved_config.json", resolved)
     atomic_write_text(

@@ -16,6 +16,8 @@ import scipy.sparse as sp
 
 Relation = tuple[str, str]  # (source type, target type)
 
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -81,12 +83,13 @@ class SparseAdj:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         for problem in self.check():
             raise ValueError(problem)
-        # scipy handle for products; built once, the arrays are shared not copied
+        # scipy handle for products, built once; the handles of other dtypes
+        # and of the transpose are built on first use and kept here
         csr = sp.csr_matrix(
             (self.weights, self.indices, self.indptr), shape=(self.n_rows, self.n_cols)
         )
         object.__setattr__(self, "_csr", csr)
-        object.__setattr__(self, "_csr_t", None)
+        object.__setattr__(self, "_products", {(_F64, False): csr})
 
     def check(self) -> list[str]:
         """Structural problems as human-readable strings (empty if valid)."""
@@ -126,14 +129,30 @@ class SparseAdj:
         csum = np.concatenate(([0.0], np.cumsum(self.weights)))
         return csum[self.indptr[1:]] - csum[self.indptr[:-1]]
 
+    def _product_csr(self, dtype: np.dtype, transposed: bool) -> sp.csr_matrix:
+        """The CSR handle for products with a ``dtype`` operand: float32
+        values for a float32 operand, float64 otherwise. A float32 handle
+        shares its float64 twin's index arrays; ``weights`` stays float64."""
+        dtype = _F32 if dtype == _F32 else _F64
+        csr = self._products.get((dtype, transposed))
+        if csr is None:
+            if dtype == _F32:
+                twin = self._product_csr(_F64, transposed)
+                csr = sp.csr_matrix(
+                    (twin.data.astype(_F32), twin.indices, twin.indptr), shape=twin.shape
+                )
+            else:
+                csr = self._csr.T.tocsr()
+            self._products[(dtype, transposed)] = csr
+        return csr
+
     def matmul(self, dense: np.ndarray) -> np.ndarray:
-        return self._csr @ dense
+        """Product with a dense operand, in the operand's float dtype."""
+        return self._product_csr(dense.dtype, False) @ dense
 
     def t_matmul(self, dense: np.ndarray) -> np.ndarray:
         """Transpose product, used by the sparse-product backward pass."""
-        if self._csr_t is None:
-            object.__setattr__(self, "_csr_t", self._csr.T.tocsr())
-        return self._csr_t @ dense
+        return self._product_csr(dense.dtype, True) @ dense
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
@@ -216,6 +235,7 @@ class HinGraph:
             for t, f in self.features.items()
         }
         object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "_features_by_dtype", {_F64: feats})
         labels = {
             t: np.asarray(v, dtype=np.int64) for t, v in (self.labels or {}).items()
         }
@@ -229,6 +249,26 @@ class HinGraph:
                 for t, parts in (self.splits or {}).items()
             },
         )
+
+    def fits_float32(self) -> bool:
+        """Whether every feature value lies in the float32 range."""
+        limit = np.finfo(np.float32).max
+        return all(not f.size or max(f.max(), -f.min()) <= limit for f in self.features.values())
+
+    def features_as(self, dtype) -> Mapping[str, np.ndarray]:
+        """The feature matrices in ``dtype``: ``features`` itself for
+        float64, otherwise a copy cast on first use and kept with the graph.
+        Features outside the float32 range stay float64, since the cast
+        would turn them into infinities; a product with them is float64."""
+        dtype = np.dtype(dtype)
+        feats = self._features_by_dtype.get(dtype)
+        if feats is None:
+            if dtype == _F32 and not self.fits_float32():
+                feats = self.features
+            else:
+                feats = {t: f.astype(dtype) for t, f in self.features.items()}
+            self._features_by_dtype[dtype] = feats
+        return feats
 
     def n_objects(self, t: str) -> int:
         return self.features[t].shape[0]

@@ -82,6 +82,11 @@ class ModelParams:
     def n_layers(self) -> int:
         return len(self.layers) + 1
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, float32 or float64."""
+        return next(iter(self.named().values())).value.dtype
+
     def named(self) -> dict[str, GradMatrix]:
         """Flat name -> parameter map; names match the checkpoint's array names."""
         out: dict[str, GradMatrix] = {}
@@ -143,12 +148,14 @@ def init_params(
     d_a: int,
     seed: int,
     mean_variant: bool = False,
+    dtype=np.float64,
 ) -> ModelParams:
     """Xavier-uniform initialization for an ``len(layer_widths) + 1`` layer model.
 
     Each entry of ``layer_widths`` is either one width for every type or a
     per-type mapping. Every parameter gets its own derived random stream,
-    so initialization does not depend on iteration order.
+    so initialization does not depend on iteration order. The values are
+    drawn in float64 and stored in ``dtype``.
     """
     dims: list[dict[str, int]] = [{t: int(in_dims[t]) for t in schema.object_types}]
     for w in layer_widths:
@@ -159,7 +166,8 @@ def init_params(
 
     def draw(n, omega, key, shape):
         # the stream label of rel_<gamma> is ("rel", gamma)
-        return xavier_uniform(*shape, rng_mod.stream(seed, "init", n, omega, *key.split("_", 1)))
+        stream = rng_mod.stream(seed, "init", n, omega, *key.split("_", 1))
+        return xavier_uniform(*shape, stream).astype(dtype, copy=False)
 
     return _build_params(schema, dims, d_a, mean_variant, draw)
 
@@ -249,6 +257,7 @@ def forward(
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
     norm_adj: Mapping[Relation, RowNormalizedAdj] | None = None,
+    dtype=None,
 ) -> tuple[dict[str, GradMatrix], list[dict[str, np.ndarray]]]:
     """Run all layers; return final representations and attention records.
 
@@ -256,6 +265,13 @@ def forward(
     ``omega`` at the transition from layer ``i + 1`` to ``i + 2``. In train
     mode, dropout is applied to every hidden layer's output (never the
     last layer's), drawing masks from ``rng`` in schema order.
+
+    The pass computes in ``dtype``, reading the features through
+    ``g.features_as``. By default a train-mode pass computes in the
+    parameters' dtype, so the gradients match the parameters, and an
+    eval-mode pass in float64, so the representations and attention that
+    ``interpret`` and the CLI read keep float64 accuracy whatever the
+    parameters' dtype. The attention records are float64 either way.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -264,9 +280,12 @@ def forward(
         raise ValueError("train-mode dropout needs an rng stream")
     if norm_adj is None:
         norm_adj = normalized_adjacency(g)
+    if dtype is None:
+        dtype = params.dtype if training else np.float64
+    feats = g.features_as(dtype)
     h = {}
     for t in g.schema.object_types:
-        feat = g.features[t]
+        feat = feats[t]
         if feat.shape[1] != params.dims[0][t]:
             raise ValueError(
                 f"layer 1 block {t}: feature width {feat.shape[1]} != "
@@ -449,9 +468,10 @@ def schema_hash(schema: Schema) -> str:
 
 def save_model(directory: Path | str, params: ModelParams, schema: Schema) -> None:
     """Write a checkpoint directory: ``model.json`` with the per-type layer
-    widths, attention width, mean-variant flag and the schema with its hash,
-    and ``model.npz``, one uncompressed float64 array per parameter named as
-    in ``params.named()``."""
+    widths, attention width, mean-variant flag, compute dtype and the schema
+    with its hash, and ``model.npz``, one uncompressed float64 array per
+    parameter named as in ``params.named()`` (float32 values convert to
+    float64 exactly)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_json(
@@ -461,17 +481,27 @@ def save_model(directory: Path | str, params: ModelParams, schema: Schema) -> No
             "dims": params.dims,
             "d_a": params.d_a,
             "mean_variant": params.mean_variant,
+            "dtype": params.dtype.name,
             "schema": schema.to_json(),
             "schema_hash": schema_hash(schema),
         },
     )
-    save_npz(directory / "model.npz", {name: p.value for name, p in params.named().items()})
+    save_npz(
+        directory / "model.npz",
+        {name: p.value.astype(np.float64, copy=False) for name, p in params.named().items()},
+    )
 
 
-def _checkpoint_meta(raw) -> tuple[Schema, list[dict[str, int]], int, bool]:
+COMPUTE_DTYPES = ("float32", "float64")
+
+
+def _checkpoint_meta(raw) -> tuple[Schema, list[dict[str, int]], int, bool, str]:
     schema = Schema.from_json(raw["schema"])
     dims = [{t: int(layer[t]) for t in schema.object_types} for layer in raw["dims"]]
-    return schema, dims, int(raw["d_a"]), bool(raw["mean_variant"])
+    dtype = raw.get("dtype", "float64")
+    if dtype not in COMPUTE_DTYPES:
+        raise ValueError(f"dtype {dtype!r}, expected one of {list(COMPUTE_DTYPES)}")
+    return schema, dims, int(raw["d_a"]), bool(raw["mean_variant"]), dtype
 
 
 def load_model(directory: Path | str) -> tuple[ModelParams, Schema]:
@@ -479,12 +509,16 @@ def load_model(directory: Path | str) -> tuple[ModelParams, Schema]:
 
     ``model.npz`` must hold exactly the arrays ``params.named()`` names for
     the widths in ``model.json``, each a finite float64 array of its
-    parameter's shape. Any other content, and a checkpoint of the old
-    layout (one ``L<layer>_<block>_<param>.tsv`` per parameter), is a
-    ValueError naming the file.
+    parameter's shape. The parameters are cast to the ``dtype`` that
+    ``model.json`` records; a ``model.json`` without one is float64. Any
+    other content, and a checkpoint of the old layout (one
+    ``L<layer>_<block>_<param>.tsv`` per parameter), is a ValueError
+    naming the file.
     """
     directory = Path(directory)
-    schema, dims, d_a, mean_variant = read_json(directory / "model.json", _checkpoint_meta)
+    schema, dims, d_a, mean_variant, dtype = read_json(
+        directory / "model.json", _checkpoint_meta
+    )
     path = directory / "model.npz"
     if not path.exists() and any(directory.glob("L*.tsv")):
         raise ValueError(
@@ -501,7 +535,7 @@ def load_model(directory: Path | str) -> tuple[ModelParams, Schema]:
         if name not in arrays:
             missing.append(name)
             return np.zeros(shape)  # reported below with every other missing name
-        return checked_matrix(f"{path}: {name}", arrays[name], shape)
+        return checked_matrix(f"{path}: {name}", arrays[name], shape).astype(dtype, copy=False)
 
     params = _build_params(schema, dims, d_a, mean_variant, take)
     extra = sorted(arrays.keys() - params.named().keys())

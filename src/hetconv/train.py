@@ -11,7 +11,7 @@ import numpy as np
 from . import rng as rng_mod
 from .autodiff import GradCheckReport, GradMatrix, Tape, cross_entropy, gradcheck
 from .graph import HinGraph, Relation, RowNormalizedAdj, normalized_adjacency, validate_graph
-from .model import ModelParams, clone_with, forward, init_params
+from .model import COMPUTE_DTYPES, ModelParams, clone_with, forward, init_params
 
 
 @dataclass
@@ -22,6 +22,10 @@ class TrainConfig:
     final layer width is forced to the class count so the last layer's
     rows act as classification logits; unlabeled types keep the configured
     final width.
+
+    ``dtype``, ``"float32"`` or ``"float64"``, is the dtype of the
+    parameters and so the compute dtype of training and ``evaluate``;
+    attention probabilities and the loss are float64 either way.
     """
 
     learning_rate: float = 0.01
@@ -34,9 +38,12 @@ class TrainConfig:
     d_a: int = 64
     mean_variant: bool = False
     loss_weights: dict[str, float] | None = None
+    dtype: str = "float32"
 
     def __post_init__(self):
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
+        if self.dtype not in COMPUTE_DTYPES:
+            raise ValueError(f"dtype must be one of {list(COMPUTE_DTYPES)}, got {self.dtype!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -162,17 +169,23 @@ def evaluate(
     split: str | Mapping[str, np.ndarray],
     norm_adj=None,
 ) -> dict[str, dict]:
-    """Metrics per labeled type on the given split (name or index map)."""
+    """Metrics per labeled type on the given split (name or index map).
+
+    The pass computes in the parameters' dtype: only each row's argmax is
+    read, which float32 keeps."""
     if isinstance(split, str):
+        name = f"split {split!r}"
         parts = {
             t: g.splits[t][split] for t in g.splits if split in g.splits[t]
         }
     else:
-        parts = dict(split)
+        name, parts = "split", dict(split)
+    types = sorted(parts)
     parts = {t: np.asarray(v, dtype=np.int64) for t, v in parts.items() if len(v)}
     if not parts:
-        raise ValueError("empty split: nothing to evaluate")
-    h, _ = forward(params, g, mode="eval", norm_adj=norm_adj)
+        where = f"types {types}" if types else "no type"
+        raise ValueError(f"empty {name} for {where}: nothing to evaluate")
+    h, _ = forward(params, g, mode="eval", norm_adj=norm_adj, dtype=params.dtype)
     out = {}
     for t, idx in parts.items():
         truth = g.labels[t][idx]
@@ -188,7 +201,9 @@ def _val_score(metrics: Mapping[str, dict]) -> float:
 
 
 def build_params(g: HinGraph, cfg: TrainConfig) -> ModelParams:
-    """Initialize model parameters sized for the graph and config."""
+    """Initialize model parameters sized for the graph and config, in
+    ``cfg.dtype``; float64 when a feature value lies outside the float32
+    range, whatever ``cfg.dtype`` says."""
     widths: list[int | dict[str, int]] = list(cfg.layer_widths[:-1])
     final = {
         t: g.class_counts[t] if t in g.class_counts and t in g.labels else cfg.layer_widths[-1]
@@ -196,8 +211,9 @@ def build_params(g: HinGraph, cfg: TrainConfig) -> ModelParams:
     }
     widths.append(final)
     in_dims = {t: g.features[t].shape[1] for t in g.schema.object_types}
+    dtype = np.float32 if cfg.dtype == "float32" and g.fits_float32() else np.float64
     return init_params(
-        g.schema, in_dims, widths, cfg.d_a, cfg.seed, cfg.mean_variant
+        g.schema, in_dims, widths, cfg.d_a, cfg.seed, cfg.mean_variant, dtype
     )
 
 
@@ -288,7 +304,8 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     if not labeled or all(len(g.splits[t]["train"]) == 0 for t in labeled):
         raise ValueError("training needs at least one labeled object with splits")
     train_idx = {t: g.splits[t]["train"] for t in labeled}
-    val_idx = {t: g.splits[t]["val"] for t in labeled if "val" in g.splits[t]}
+    # an empty val part counts as absent: early stopping then follows -loss
+    val_idx = {t: g.splits[t]["val"] for t in labeled if len(g.splits[t].get("val", ()))}
     params = build_params(g, cfg)
     named = params.named()
     adam = AdamState.for_params(named)

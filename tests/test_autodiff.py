@@ -393,3 +393,39 @@ class TestTapeDeterminism:
         x = GradMatrix(np.ones((2, 2)), tape)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(matmul(x, x))
+
+
+class TestDtypes:
+    def test_grad_matrix_keeps_float32_and_casts_the_rest(self):
+        assert GradMatrix(np.ones((2, 2), dtype=np.float32)).value.dtype == np.float32
+        assert GradMatrix(np.ones((2, 2), dtype=np.float64)).value.dtype == np.float64
+        assert GradMatrix(np.ones((2, 2), dtype=np.int64)).value.dtype == np.float64
+        assert GradMatrix(np.ones((2, 2), dtype=np.float16)).value.dtype == np.float64
+
+    def test_float32_attend_matches_float64(self):
+        rng = np.random.default_rng(40)
+        zs = [rng.normal(size=(50, 3)) for _ in range(3)]
+        maps = [rng.normal(size=shape) for shape in TestAttend.MAPS.values()]
+        results = {}
+        for dtype in (np.float64, np.float32):
+            tape = Tape()
+            leaves = [GradMatrix(x.astype(dtype), tape) for x in zs + maps]
+            out, att = attend(leaves[:3], *leaves[3:])
+            assert out.value.dtype == dtype and att.dtype == np.float64
+            tape.backward(loss(out, seed=41))
+            assert all(leaf.grad.dtype == dtype for leaf in leaves)
+            results[dtype] = [out.value, att] + [leaf.grad for leaf in leaves]
+        for got, want in zip(results[np.float32], results[np.float64]):
+            assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
+
+    def test_float32_loss_is_float64_with_float32_gradient(self):
+        tape = Tape()
+        logits = GradMatrix(np.array([[1.0, 2.0], [0.5, -1.0]], dtype=np.float32), tape)
+        loss = cross_entropy([(logits, np.array([0, 1]), np.array([1, 0]), 1.0)])
+        assert loss.value.dtype == np.float64
+        tape.backward(loss)
+        assert logits.grad.dtype == np.float32
+        want = cross_entropy(
+            [(constant(logits.value.astype(np.float64)), np.array([0, 1]), np.array([1, 0]), 1.0)]
+        )
+        assert loss.value[0, 0] == pytest.approx(want.value[0, 0], rel=1e-6)

@@ -529,3 +529,43 @@ class TestCorruptFiles:
                     ["train", "--data", str(data), "--config", str(cfg), "--out", str(Path(tmp) / "run")]
                 ))
         assert set(codes) <= {0, 1, 2, 3}
+
+
+class TestDtype:
+    def test_float32_checkpoint_reproduces_train_metrics(self, data_dir, run_dir, tmp_path):
+        assert json.loads((run_dir / "model" / "model.json").read_text())["dtype"] == "float32"
+        assert json.loads((run_dir / "resolved_config.json").read_text())["dtype"] == "float32"
+        out = tmp_path / "metrics.json"
+        code = quiet_main(
+            ["evaluate", "--model", str(run_dir / "model"), "--data", str(data_dir),
+             "--out", str(out)]
+        )
+        assert code == cli.EXIT_OK
+        assert out.read_bytes() == (run_dir / "test_metrics.json").read_bytes()
+
+    def test_unknown_dtype_exits_usage(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TRAIN_CFG, dtype="float16")))
+        code = cli.main(
+            ["train", "--data", str(data_dir), "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert "dtype" in capsys.readouterr().err
+
+
+def test_empty_val_split_trains(data_dir, tmp_path):
+    # verify accepts "val": [], so train must too: early stopping follows the loss
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    split = json.loads((data / "split_A.json").read_text())
+    split["val"] = []
+    (data / "split_A.json").write_text(json.dumps(split))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TRAIN_CFG))
+    assert quiet_main(["verify", "--data", str(data)]) == cli.EXIT_OK
+    out = tmp_path / "run"
+    code = quiet_main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    log = [json.loads(line) for line in (out / "training_log.jsonl").read_text().splitlines()]
+    assert len(log) == TRAIN_CFG["max_epochs"]
+    assert all(r["val_micro_f1"] is None for r in log)

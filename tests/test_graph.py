@@ -234,3 +234,58 @@ class TestInducedSubgraph:
         full = toy_graph.adjacency[("A", "B")].to_dense()
         assert np.allclose(small.adjacency[("A", "B")].to_dense(), full[:2, :2])
         assert np.array_equal(small.labels["B"], toy_graph.labels["B"][:2])
+
+
+class TestDtypeCaches:
+    def _graph(self):
+        from conftest import bipartite_graph
+
+        return bipartite_graph(4, 5, 3, 2, seed=3)
+
+    def test_features_cast_once_per_dtype(self):
+        g = self._graph()
+        assert g.features_as(np.float64) is g.features
+        f32 = g.features_as(np.float32)
+        assert f32 is g.features_as("float32")
+        assert all(f.dtype == np.float32 for f in f32.values())
+        assert np.array_equal(f32["A"], g.features["A"].astype(np.float32))
+
+    def test_out_of_range_features_stay_float64(self):
+        g = self._graph()
+        huge = HinGraph(
+            schema=g.schema, adjacency=g.adjacency,
+            features={"A": np.full((4, 3), 1e200), "B": g.features["B"]},
+        )
+        assert g.fits_float32() and not huge.fits_float32()
+        assert huge.features_as(np.float32) is huge.features
+
+    def test_float32_products_share_the_index_arrays(self):
+        a = row_normalize(self._graph().adjacency[("A", "B")])
+        dense = np.random.default_rng(0).normal(size=(a.n_cols, 3))
+        t_dense = np.random.default_rng(1).normal(size=(a.n_rows, 3))
+        for transposed, x in ((False, dense), (True, t_dense)):
+            product = a.t_matmul if transposed else a.matmul
+            got = product(x.astype(np.float32))
+            assert got.dtype == np.float32
+            assert np.allclose(got, product(x), rtol=1e-5, atol=1e-6)
+            f32 = a._product_csr(np.dtype(np.float32), transposed)
+            f64 = a._product_csr(np.dtype(np.float64), transposed)
+            assert a._product_csr(np.dtype(np.float32), transposed) is f32
+            assert np.shares_memory(f32.indices, f64.indices)
+            assert np.shares_memory(f32.indptr, f64.indptr)
+        assert a.weights.dtype == np.float64
+
+    def test_caches_are_freed_with_their_owner(self):
+        import gc
+        import weakref
+
+        g = self._graph()
+        a = g.adjacency[("A", "B")]
+        a.matmul(np.ones((a.n_cols, 2), dtype=np.float32))
+        refs = [
+            weakref.ref(g.features_as(np.float32)["A"]),
+            weakref.ref(a._product_csr(np.dtype(np.float32), False).data),
+        ]
+        del g, a
+        gc.collect()
+        assert all(r() is None for r in refs)

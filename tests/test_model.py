@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -435,3 +437,49 @@ class TestCheckpoint:
             "81714d7a272ffae6d71bb52b979f6985719b5573ae5cf6a50f88e2de67f20332"
         )
         assert schema_hash(dblp_schema) != schema_hash(toy_graph.schema)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_round_trip_keeps_dtype(self, tmp_path, toy_graph, dtype):
+        params = build_params(toy_graph, TrainConfig(layer_widths=(4, 2), seed=9, dtype=dtype))
+        save_model(tmp_path / "ckpt", params, toy_graph.schema)
+        assert json.loads((tmp_path / "ckpt" / "model.json").read_text())["dtype"] == dtype
+        with np.load(tmp_path / "ckpt" / "model.npz") as arrays:
+            assert {arrays[k].dtype for k in arrays.files} == {np.dtype(np.float64)}
+        loaded, _ = load_model(tmp_path / "ckpt")
+        for name, p in params.named().items():
+            got = loaded.named()[name].value
+            assert got.dtype == dtype and got.tobytes() == p.value.tobytes()
+
+    def test_checkpoint_without_dtype_loads_float64(self, tmp_path, toy_graph):
+        params = toy_params(toy_graph)
+        save_model(tmp_path / "ckpt", params, toy_graph.schema)
+        meta_path = tmp_path / "ckpt" / "model.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["dtype"]
+        meta_path.write_text(json.dumps(meta))
+        loaded, _ = load_model(tmp_path / "ckpt")
+        assert loaded.dtype == np.float64
+        for name, p in params.named().items():
+            assert np.array_equal(loaded.named()[name].value, p.value)
+
+    def test_unknown_checkpoint_dtype_rejected(self, tmp_path, toy_graph):
+        save_model(tmp_path / "ckpt", toy_params(toy_graph), toy_graph.schema)
+        meta_path = tmp_path / "ckpt" / "model.json"
+        meta_path.write_text(meta_path.read_text().replace('"float32"', '"float16"'))
+        with pytest.raises(ValueError, match="model.json: dtype 'float16'"):
+            load_model(tmp_path / "ckpt")
+
+
+class TestComputeDtype:
+    def test_eval_defaults_to_float64_and_train_to_the_parameters(self, toy_graph):
+        params = toy_params(toy_graph)
+        assert params.dtype == np.float32
+        h, _ = forward(params, toy_graph)
+        assert h["B"].value.dtype == np.float64
+        h32, _ = forward(params, toy_graph, dtype=np.float32)
+        assert h32["B"].value.dtype == np.float32
+        assert np.abs(h32["B"].value - h["B"].value).max() < 1e-5
+        tape = Tape()
+        params.attach(tape)
+        h_train, _ = forward(params, toy_graph, mode="train")
+        assert h_train["B"].value.dtype == np.float32

@@ -279,3 +279,88 @@ class TestModelLossGradcheck:
         cfg = TrainConfig(layer_widths=(3, 2), d_a=2, seed=0)
         report = model_loss_gradcheck(toy_graph, cfg, h=1e-5, tol=1e-4)
         assert report.passed, f"max rel err {report.max_rel_err:.2e}"
+
+
+class TestFloat32:
+    CFG = dict(layer_widths=(3, 2), d_a=2, seed=0)
+
+    def test_default_is_float32_and_other_dtypes_rejected(self):
+        assert TrainConfig().dtype == "float32"
+        with pytest.raises(ValueError, match="dtype"):
+            TrainConfig(dtype="float16")
+
+    def test_train_step_keeps_parameters_gradients_and_moments_float32(self, toy_graph):
+        from hetconv.autodiff import Tape
+        from hetconv.model import forward, normalized_adjacency
+
+        cfg = TrainConfig(**self.CFG)
+        params = build_params(toy_graph, cfg)
+        named = params.named()
+        adam = AdamState.for_params(named)
+        norm_adj = normalized_adjacency(toy_graph)
+        train_idx = {"B": toy_graph.splits["B"]["train"]}
+        train_step(toy_graph, params, adam, cfg, train_idx, norm_adj, epoch=1)
+        tape = Tape()
+        params.attach(tape)
+        h, _ = forward(params, toy_graph, mode="train", norm_adj=norm_adj)
+        tape.backward(cross_entropy_loss(h, toy_graph.labels, train_idx))
+        adam_step(named, adam, cfg.learning_rate, cfg.l2_weight)
+        # blocks the loss never reads get no gradient
+        assert {p.grad.dtype for p in named.values() if p.grad is not None} == {np.dtype(np.float32)}
+        for name, p in named.items():
+            assert p.value.dtype == np.float32, name
+            assert adam.m[name].dtype == adam.v[name].dtype == np.float32, name
+
+    def test_attention_records_are_float64_distributions(self, toy_graph):
+        from hetconv.model import forward
+        from hetconv import rng as rng_mod
+
+        params = build_params(toy_graph, TrainConfig(**self.CFG))
+        for mode, kw in (("train", {"rng": rng_mod.stream(0, "t"), "dropout_rate": 0.5}),
+                         ("eval", {"dtype": np.float32})):
+            h, records = forward(params, toy_graph, mode=mode, **kw)
+            assert h["B"].value.dtype == np.float32
+            for layer in records:
+                for att in layer.values():
+                    assert att.dtype == np.float64
+                    assert np.abs(att.sum(axis=1) - 1.0).max() <= 1e-6
+
+    def test_seeded_fits_bit_identical(self, toy_graph):
+        p1, log1 = _fit_quick(toy_graph, 5)
+        p2, log2 = _fit_quick(toy_graph, 5)
+        assert p1.dtype == np.float32
+        for name, p in p1.named().items():
+            assert p.value.tobytes() == p2.named()[name].value.tobytes()
+        assert [r["train_loss"] for r in log1] == [r["train_loss"] for r in log2]
+
+    def test_float64_config_gives_float64_parameters(self, toy_graph):
+        params, _ = _fit_quick(toy_graph, 2, dtype="float64")
+        assert all(p.value.dtype == np.float64 for p in params.named().values())
+
+    def test_features_beyond_float32_range_give_float64(self, toy_graph):
+        from dataclasses import replace
+
+        huge = replace(toy_graph, features={**toy_graph.features, "A": np.full((3, 2), 1e200)})
+        params = build_params(huge, TrainConfig(**self.CFG))
+        assert params.dtype == np.float64
+        assert build_params(toy_graph, TrainConfig(**self.CFG)).dtype == np.float32
+
+
+class TestEmptyValidation:
+    def test_empty_val_part_falls_back_to_loss(self, toy_graph):
+        from dataclasses import replace
+
+        splits = {"B": {**toy_graph.splits["B"], "val": np.array([], dtype=int)}}
+        params, log = _fit_quick(replace(toy_graph, splits=splits), 3)
+        assert len(log) == 3
+        assert all(r["val_micro_f1"] is None for r in log)
+
+    def test_empty_split_error_names_split_and_types(self, toy_graph):
+        from dataclasses import replace
+
+        splits = {"B": {**toy_graph.splits["B"], "val": np.array([], dtype=int)}}
+        params = build_params(toy_graph, TrainConfig(**TestFloat32.CFG))
+        with pytest.raises(ValueError, match=r"empty split 'val' for types \['B'\]"):
+            evaluate(params, replace(toy_graph, splits=splits), "val")
+        with pytest.raises(ValueError, match="empty split 'dev' for no type"):
+            evaluate(params, toy_graph, "dev")
