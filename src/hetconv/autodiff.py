@@ -12,7 +12,8 @@ model needs and nothing else:
 
 All values are 2-D float32 or float64 arrays; a scalar is a 1x1 matrix.
 Every primitive computes in its operands' dtype, which ``model.forward``
-chooses (float32 for training by default, see ``train.TrainConfig.dtype``).
+chooses (float32 for training unless the features are too large, see
+``train.build_params``).
 Probabilities and losses are float64 either way: ``attend`` computes its
 attention logits and softmax, and ``cross_entropy`` its log-sum-exp, in
 float64 and hands the gradients back in the operands' dtype.

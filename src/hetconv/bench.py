@@ -5,23 +5,19 @@ excluded from timing); only full training epochs (forward, loss, backward,
 optimizer step) are measured. The first epoch per scale is a warmup and is
 discarded; the remaining repeats are summarized and a least-squares line of
 median epoch time against |V| + |E| quantifies how close the growth is to
-linear. After each timed epoch the validation pass that ``train.fit`` pays
-is timed on its own; it stays out of the epoch time and the fit. The report
-records the environment it ran in.
+linear.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .datagen import GenSpec, dblp_spec, generate, with_splits
 from .graph import HinGraph, normalized_adjacency
-from .train import AdamState, TrainConfig, build_params, evaluate, train_step
+from .train import AdamState, TrainConfig, build_params, train_step
 
 
 @dataclass
@@ -32,15 +28,10 @@ class ScaleResult:
     mean_seconds: float
     std_seconds: float
     median_seconds: float
-    validation_seconds: list[float] = field(default_factory=list)
 
     @property
     def size(self) -> int:
         return self.n_objects + self.n_links
-
-    @property
-    def validation_median_seconds(self) -> float:
-        return float(np.median(self.validation_seconds)) if self.validation_seconds else 0.0
 
 
 @dataclass
@@ -53,7 +44,6 @@ class BenchReport:
     repeats: int
     threads: int
     failures: list[str]
-    environment: dict = field(default_factory=dict)
 
     def __post_init__(self):
         sizes = [s.size for s in self.scales]
@@ -72,7 +62,6 @@ class BenchReport:
                     "mean_seconds": s.mean_seconds,
                     "std_seconds": s.std_seconds,
                     "median_seconds": s.median_seconds,
-                    "validation_seconds": s.validation_seconds,
                 }
                 for s in self.scales
             ],
@@ -85,19 +74,18 @@ class BenchReport:
             "repeats": self.repeats,
             "threads": self.threads,
             "failures": self.failures,
-            "environment": self.environment,
         }
 
     def to_text(self) -> str:
         lines = [
             f"{'objects':>10} {'links':>10} {'|V|+|E|':>10} "
-            f"{'median_s':>10} {'mean_s':>10} {'std_s':>10} {'val_s':>10}"
+            f"{'median_s':>10} {'mean_s':>10} {'std_s':>10}"
         ]
         for s in self.scales:
             lines.append(
                 f"{s.n_objects:>10} {s.n_links:>10} {s.size:>10} "
                 f"{s.median_seconds:>10.4f} {s.mean_seconds:>10.4f} "
-                f"{s.std_seconds:>10.4f} {s.validation_median_seconds:>10.4f}"
+                f"{s.std_seconds:>10.4f}"
             )
         lines.append(
             f"linear fit: time = {self.slope:.3e} * size + "
@@ -112,15 +100,11 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = [
-            "n_objects,n_links,size,median_seconds,mean_seconds,std_seconds,"
-            "validation_median_seconds"
-        ]
+        lines = ["n_objects,n_links,size,median_seconds,mean_seconds,std_seconds"]
         for s in self.scales:
             lines.append(
                 f"{s.n_objects},{s.n_links},{s.size},"
-                f"{s.median_seconds},{s.mean_seconds},{s.std_seconds},"
-                f"{s.validation_median_seconds}"
+                f"{s.median_seconds},{s.mean_seconds},{s.std_seconds}"
             )
         return "\n".join(lines) + "\n"
 
@@ -131,32 +115,10 @@ def default_scale_specs(seed: int = 0, n_scales: int = 6) -> list[GenSpec]:
     return [dblp_spec(235 * 2**i, seed=seed, noise=0.05) for i in range(n_scales)]
 
 
-def environment(threads: int, dtype: str) -> dict:
-    """Library versions, thread and CPU counts and the compute dtype."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "threads": threads,
-        "cpu_count": os.cpu_count(),
-        "dtype": dtype,
-    }
-
-
 def _timed_epoch(g: HinGraph, params, adam, cfg: TrainConfig, norm_adj, epoch: int) -> float:
     train_idx = {t: g.splits[t]["train"] for t in g.splits}
     t0 = time.perf_counter()
     train_step(g, params, adam, cfg, train_idx, norm_adj, epoch)
-    return time.perf_counter() - t0
-
-
-def _timed_validation(g: HinGraph, params, norm_adj) -> float:
-    """The validation ``evaluate`` of a ``train.fit`` epoch; 0 without a val split."""
-    val_idx = {t: s["val"] for t, s in g.splits.items() if len(s.get("val", ()))}
-    t0 = time.perf_counter()
-    if val_idx:
-        evaluate(params, g, val_idx, norm_adj=norm_adj)
     return time.perf_counter() - t0
 
 
@@ -178,7 +140,6 @@ def run_scaling(
     if repeats < 3:
         raise ValueError("need at least 3 timed repeats")
     cfg = cfg or TrainConfig()
-    dtype = cfg.dtype
     results: list[ScaleResult] = []
     failures: list[str] = []
     for spec in specs:
@@ -186,14 +147,12 @@ def run_scaling(
             g = with_splits(generate(spec), train_fraction, seed=spec.seed)
             norm_adj = normalized_adjacency(g)
             params = build_params(g, cfg)
-            dtype = params.dtype.name
             adam = AdamState.for_params(params.named())
             _timed_epoch(g, params, adam, cfg, norm_adj, epoch=0)  # warmup
-            _timed_validation(g, params, norm_adj)
-            times, val_times = [], []
-            for e in range(1, repeats + 1):
-                times.append(_timed_epoch(g, params, adam, cfg, norm_adj, epoch=e))
-                val_times.append(_timed_validation(g, params, norm_adj))
+            times = [
+                _timed_epoch(g, params, adam, cfg, norm_adj, epoch=e)
+                for e in range(1, repeats + 1)
+            ]
         except MemoryError:
             failures.append(
                 f"out of memory at scale with counts {dict(spec.counts)}"
@@ -207,7 +166,6 @@ def run_scaling(
                 mean_seconds=float(np.mean(times)),
                 std_seconds=float(np.std(times)),
                 median_seconds=float(np.median(times)),
-                validation_seconds=val_times,
             )
         )
     x = np.array([r.size for r in results], dtype=np.float64)
@@ -235,5 +193,4 @@ def run_scaling(
         repeats=repeats,
         threads=threads,
         failures=failures,
-        environment=environment(threads, dtype),
     )

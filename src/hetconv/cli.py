@@ -138,7 +138,7 @@ def cmd_train(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     resolved = dataclasses.asdict(cfg)
-    # the dtype in effect: float64 where the features exceed the float32 range
+    # the dtype trained in: float64 where the features are too large for float32
     resolved.update(
         {
             "data": str(args.data),

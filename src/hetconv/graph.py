@@ -18,6 +18,13 @@ Relation = tuple[str, str]  # (source type, target type)
 
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
+# The largest |feature| that trains in float32. Adam's second moment holds
+# the squared gradient, and a weight gradient grows with the feature scale,
+# so float32 (max 3.4e38) overflows long before the cast does: with
+# constant features, fits on dblp_spec(235) and dblp_spec(940) overflow
+# that moment at 1e18 and train at 1e17. The bound keeps a factor of 100.
+FLOAT32_FEATURE_LIMIT = 1e15
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -250,20 +257,22 @@ class HinGraph:
             },
         )
 
-    def fits_float32(self) -> bool:
-        """Whether every feature value lies in the float32 range."""
-        limit = np.finfo(np.float32).max
-        return all(not f.size or max(f.max(), -f.min()) <= limit for f in self.features.values())
+    def trains_in_float32(self) -> bool:
+        """Whether every |feature| is at most ``FLOAT32_FEATURE_LIMIT``."""
+        return all(
+            not f.size or max(f.max(), -f.min()) <= FLOAT32_FEATURE_LIMIT
+            for f in self.features.values()
+        )
 
     def features_as(self, dtype) -> Mapping[str, np.ndarray]:
         """The feature matrices in ``dtype``: ``features`` itself for
         float64, otherwise a copy cast on first use and kept with the graph.
-        Features outside the float32 range stay float64, since the cast
-        would turn them into infinities; a product with them is float64."""
+        A float32 request on a graph that does not ``trains_in_float32``
+        gets the float64 features, and a product with them is float64."""
         dtype = np.dtype(dtype)
         feats = self._features_by_dtype.get(dtype)
         if feats is None:
-            if dtype == _F32 and not self.fits_float32():
+            if dtype == _F32 and not self.trains_in_float32():
                 feats = self.features
             else:
                 feats = {t: f.astype(dtype) for t, f in self.features.items()}

@@ -11,7 +11,7 @@ import numpy as np
 from . import rng as rng_mod
 from .autodiff import GradCheckReport, GradMatrix, Tape, cross_entropy, gradcheck
 from .graph import HinGraph, Relation, RowNormalizedAdj, normalized_adjacency, validate_graph
-from .model import COMPUTE_DTYPES, ModelParams, clone_with, forward, init_params
+from .model import ModelParams, clone_with, forward, init_params
 
 
 @dataclass
@@ -22,10 +22,6 @@ class TrainConfig:
     final layer width is forced to the class count so the last layer's
     rows act as classification logits; unlabeled types keep the configured
     final width.
-
-    ``dtype``, ``"float32"`` or ``"float64"``, is the dtype of the
-    parameters and so the compute dtype of training and ``evaluate``;
-    attention probabilities and the loss are float64 either way.
     """
 
     learning_rate: float = 0.01
@@ -38,12 +34,9 @@ class TrainConfig:
     d_a: int = 64
     mean_variant: bool = False
     loss_weights: dict[str, float] | None = None
-    dtype: str = "float32"
 
     def __post_init__(self):
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
-        if self.dtype not in COMPUTE_DTYPES:
-            raise ValueError(f"dtype must be one of {list(COMPUTE_DTYPES)}, got {self.dtype!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -201,9 +194,9 @@ def _val_score(metrics: Mapping[str, dict]) -> float:
 
 
 def build_params(g: HinGraph, cfg: TrainConfig) -> ModelParams:
-    """Initialize model parameters sized for the graph and config, in
-    ``cfg.dtype``; float64 when a feature value lies outside the float32
-    range, whatever ``cfg.dtype`` says."""
+    """Initialize model parameters sized for the graph and config: float32,
+    or float64 when the features are too large to train in float32
+    (``HinGraph.trains_in_float32``)."""
     widths: list[int | dict[str, int]] = list(cfg.layer_widths[:-1])
     final = {
         t: g.class_counts[t] if t in g.class_counts and t in g.labels else cfg.layer_widths[-1]
@@ -211,7 +204,7 @@ def build_params(g: HinGraph, cfg: TrainConfig) -> ModelParams:
     }
     widths.append(final)
     in_dims = {t: g.features[t].shape[1] for t in g.schema.object_types}
-    dtype = np.float32 if cfg.dtype == "float32" and g.fits_float32() else np.float64
+    dtype = np.float32 if g.trains_in_float32() else np.float64
     return init_params(
         g.schema, in_dims, widths, cfg.d_a, cfg.seed, cfg.mean_variant, dtype
     )

@@ -543,14 +543,19 @@ class TestDtype:
         assert code == cli.EXIT_OK
         assert out.read_bytes() == (run_dir / "test_metrics.json").read_bytes()
 
-    def test_unknown_dtype_exits_usage(self, data_dir, tmp_path, capsys):
+    def test_features_near_1e20_train_in_float64(self, data_dir, tmp_path):
+        # float32 would overflow Adam's second moment at this scale
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        feats = data / "features_A.npy"
+        np.save(feats, np.full_like(np.load(feats), 1e20))
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(dict(TRAIN_CFG, dtype="float16")))
-        code = cli.main(
-            ["train", "--data", str(data_dir), "--config", str(cfg), "--out", str(tmp_path / "o")]
-        )
-        assert code == cli.EXIT_USAGE
-        assert "dtype" in capsys.readouterr().err
+        cfg.write_text(json.dumps(TRAIN_CFG))
+        out = tmp_path / "run"
+        code = quiet_main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert json.loads((out / "resolved_config.json").read_text())["dtype"] == "float64"
+        assert json.loads((out / "model" / "model.json").read_text())["dtype"] == "float64"
 
 
 def test_empty_val_split_trains(data_dir, tmp_path):

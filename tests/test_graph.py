@@ -256,7 +256,7 @@ class TestDtypeCaches:
             schema=g.schema, adjacency=g.adjacency,
             features={"A": np.full((4, 3), 1e200), "B": g.features["B"]},
         )
-        assert g.fits_float32() and not huge.fits_float32()
+        assert g.trains_in_float32() and not huge.trains_in_float32()
         assert huge.features_as(np.float32) is huge.features
 
     def test_float32_products_share_the_index_arrays(self):

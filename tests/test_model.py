@@ -440,7 +440,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_round_trip_keeps_dtype(self, tmp_path, toy_graph, dtype):
-        params = build_params(toy_graph, TrainConfig(layer_widths=(4, 2), seed=9, dtype=dtype))
+        in_dims = {t: f.shape[1] for t, f in toy_graph.features.items()}
+        params = init_params(toy_graph.schema, in_dims, [4, 2], d_a=2, seed=9, dtype=dtype)
         save_model(tmp_path / "ckpt", params, toy_graph.schema)
         assert json.loads((tmp_path / "ckpt" / "model.json").read_text())["dtype"] == dtype
         with np.load(tmp_path / "ckpt" / "model.npz") as arrays:

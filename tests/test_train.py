@@ -284,11 +284,6 @@ class TestModelLossGradcheck:
 class TestFloat32:
     CFG = dict(layer_widths=(3, 2), d_a=2, seed=0)
 
-    def test_default_is_float32_and_other_dtypes_rejected(self):
-        assert TrainConfig().dtype == "float32"
-        with pytest.raises(ValueError, match="dtype"):
-            TrainConfig(dtype="float16")
-
     def test_train_step_keeps_parameters_gradients_and_moments_float32(self, toy_graph):
         from hetconv.autodiff import Tape
         from hetconv.model import forward, normalized_adjacency
@@ -333,17 +328,13 @@ class TestFloat32:
             assert p.value.tobytes() == p2.named()[name].value.tobytes()
         assert [r["train_loss"] for r in log1] == [r["train_loss"] for r in log2]
 
-    def test_float64_config_gives_float64_parameters(self, toy_graph):
-        params, _ = _fit_quick(toy_graph, 2, dtype="float64")
-        assert all(p.value.dtype == np.float64 for p in params.named().values())
-
-    def test_features_beyond_float32_range_give_float64(self, toy_graph):
+    @pytest.mark.parametrize("scale,dtype", [(1e15, np.float32), (2e15, np.float64), (1e200, np.float64)])
+    def test_large_features_give_float64(self, toy_graph, scale, dtype):
         from dataclasses import replace
 
-        huge = replace(toy_graph, features={**toy_graph.features, "A": np.full((3, 2), 1e200)})
-        params = build_params(huge, TrainConfig(**self.CFG))
-        assert params.dtype == np.float64
-        assert build_params(toy_graph, TrainConfig(**self.CFG)).dtype == np.float32
+        big = replace(toy_graph, features={**toy_graph.features, "A": np.full((3, 2), -scale)})
+        params = build_params(big, TrainConfig(**self.CFG))
+        assert all(p.value.dtype == dtype for p in params.named().values())
 
 
 class TestEmptyValidation:
