@@ -11,9 +11,9 @@ model needs and nothing else:
 - ``cross_entropy``: the whole weighted classification loss.
 
 All values are 2-D float32 or float64 arrays; a scalar is a 1x1 matrix.
-Every primitive computes in its operands' dtype, which ``model.forward``
-chooses (float32 for training unless the features are too large, see
-``train.build_params``).
+Every primitive computes in its operands' dtype. In ``model.forward``
+that is the parameters' dtype, in train and eval mode alike: float32
+unless the features are too large (see ``train.build_params``).
 Probabilities and losses are float64 either way: ``attend`` computes its
 attention logits and softmax, and ``cross_entropy`` its log-sum-exp, in
 float64 and hands the gradients back in the operands' dtype.
@@ -146,13 +146,13 @@ def _tape_of(*xs: GradMatrix) -> Tape | None:
     return tapes.pop() if tapes else None
 
 
-def _accum(x: GradMatrix, g: np.ndarray, own: bool = False) -> None:
-    """Add ``g`` into ``x.grad``; ``own`` marks freshly allocated arrays
-    that may be adopted without a defensive copy."""
+def _accum(x: GradMatrix, g: np.ndarray) -> None:
+    """Add ``g`` into ``x.grad``. Every backward pass hands over a freshly
+    allocated ``g``, so the first one is adopted without a copy."""
     if x.tape is None:
         return
     if x.grad is None:
-        x.grad = g if own else np.array(g)
+        x.grad = g
     else:
         x.grad += g
 
@@ -168,9 +168,9 @@ def matmul(a: GradMatrix, b: GradMatrix) -> GradMatrix:
         # an untracked operand (the constant input features) needs no product
         def backward(g: np.ndarray) -> None:
             if a.tape is not None:
-                _accum(a, g @ bv.T, own=True)
+                _accum(a, g @ bv.T)
             if b.tape is not None:
-                _accum(b, av.T @ g, own=True)
+                _accum(b, av.T @ g)
 
         tape.record(out, backward)
     return out
@@ -187,7 +187,7 @@ def spmm(a: SparseAdj, b: GradMatrix) -> GradMatrix:
     if tape is not None:
 
         def backward(g: np.ndarray) -> None:
-            _accum(b, a.t_matmul(g), own=True)
+            _accum(b, a.t_matmul(g))
 
         tape.record(out, backward)
     return out
@@ -303,27 +303,27 @@ def attend(
                     d_key += values[j].value.T @ d_pre[:, j : j + 1]
                 d_query = values[0].value.T @ d_q
                 if w_k.tape is not None:
-                    _accum(w_k, d_key @ a_k.T, own=True)
+                    _accum(w_k, d_key @ a_k.T)
                 if w_q.tape is not None:
-                    _accum(w_q, d_query @ a_q.T, own=True)
+                    _accum(w_q, d_query @ a_q.T)
                 if w_a.tape is not None:
-                    _accum(w_a, np.vstack([m_k.T @ d_key, m_q.T @ d_query]), own=True)
+                    _accum(w_a, np.vstack([m_k.T @ d_key, m_q.T @ d_query]))
             for z, gz in zip(values, grads):
                 if gz is not None:
-                    _accum(z, gz, own=True)
+                    _accum(z, gz)
 
         tape.record(out, backward)
     return out, att
 
 
-def dropout(
-    x: GradMatrix, rate: float, training: bool, rng: np.random.Generator
-) -> GradMatrix:
-    """Inverted dropout: survivors are scaled by 1/(1-rate) at train time,
-    so evaluation is the identity and needs no rescaling."""
+def dropout(x: GradMatrix, rate: float, rng: np.random.Generator) -> GradMatrix:
+    """Inverted dropout: each entry is kept with probability 1 - rate and
+    survivors are scaled by 1/(1-rate), so an evaluation pass, which
+    applies no dropout, needs no rescaling. A rate of 0 returns ``x``
+    without drawing from ``rng``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
@@ -336,7 +336,7 @@ def dropout(
         def backward(g: np.ndarray) -> None:
             gx = np.multiply(g, keep)
             gx *= scale
-            _accum(x, gx, own=True)
+            _accum(x, gx)
 
         tape.record(out, backward)
     return out
@@ -382,7 +382,7 @@ def cross_entropy(
                 full = np.zeros_like(logits.value)
                 soft = (float(g[0, 0]) * weight * soft).astype(full.dtype, copy=False)
                 np.add.at(full, rows, soft)
-                _accum(logits, full, own=True)
+                _accum(logits, full)
 
         tape.record(out, backward)
     return out

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import GenSpec, dblp_spec, generate, with_splits
-from .graph import HinGraph, normalized_adjacency
+from .graph import HinGraph
 from .train import AdamState, TrainConfig, build_params, train_step
+
+TRAIN_FRACTION = 20.0  # percent of each labeled type's objects in the train split
 
 
 @dataclass
@@ -115,10 +117,10 @@ def default_scale_specs(seed: int = 0, n_scales: int = 6) -> list[GenSpec]:
     return [dblp_spec(235 * 2**i, seed=seed, noise=0.05) for i in range(n_scales)]
 
 
-def _timed_epoch(g: HinGraph, params, adam, cfg: TrainConfig, norm_adj, epoch: int) -> float:
+def _timed_epoch(g: HinGraph, params, adam, cfg: TrainConfig, epoch: int) -> float:
     train_idx = {t: g.splits[t]["train"] for t in g.splits}
     t0 = time.perf_counter()
-    train_step(g, params, adam, cfg, train_idx, norm_adj, epoch)
+    train_step(g, params, adam, cfg, train_idx, epoch)
     return time.perf_counter() - t0
 
 
@@ -126,7 +128,6 @@ def run_scaling(
     specs: list[GenSpec],
     cfg: TrainConfig | None = None,
     repeats: int = 3,
-    train_fraction: float = 20.0,
     threads: int = 1,
 ) -> BenchReport:
     """Time training epochs across graph scales and fit time vs size.
@@ -144,13 +145,12 @@ def run_scaling(
     failures: list[str] = []
     for spec in specs:
         try:
-            g = with_splits(generate(spec), train_fraction, seed=spec.seed)
-            norm_adj = normalized_adjacency(g)
+            g = with_splits(generate(spec), TRAIN_FRACTION, seed=spec.seed)
             params = build_params(g, cfg)
             adam = AdamState.for_params(params.named())
-            _timed_epoch(g, params, adam, cfg, norm_adj, epoch=0)  # warmup
+            _timed_epoch(g, params, adam, cfg, epoch=0)  # warmup
             times = [
-                _timed_epoch(g, params, adam, cfg, norm_adj, epoch=e)
+                _timed_epoch(g, params, adam, cfg, epoch=e)
                 for e in range(1, repeats + 1)
             ]
         except MemoryError:

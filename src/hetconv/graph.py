@@ -17,6 +17,7 @@ import scipy.sparse as sp
 Relation = tuple[str, str]  # (source type, target type)
 
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+_INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
 # The largest |feature| that trains in float32. Adam's second moment holds
 # the squared gradient, and a weight gradient grows with the feature scale,
@@ -75,18 +76,21 @@ class SparseAdj:
     """CSR adjacency between target-type rows and source-type columns.
 
     Column indices are strictly increasing within each row; stored weights
-    are strictly positive.
+    are strictly positive. ``indptr`` and ``indices`` are the scipy handle's
+    own index arrays, in its index dtype (int32 while the sizes fit).
     """
 
     n_rows: int
     n_cols: int
-    indptr: np.ndarray  # int64, len n_rows + 1
-    indices: np.ndarray  # int64, len nnz
+    indptr: np.ndarray  # scipy's index dtype, len n_rows + 1
+    indices: np.ndarray  # scipy's index dtype, len nnz
     weights: np.ndarray  # float64, len nnz
 
     def __post_init__(self):
-        object.__setattr__(self, "indptr", np.asarray(self.indptr, dtype=np.int64))
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
+        # int32 and int64 index arrays go to scipy as they are, to be adopted
+        for name in ("indptr", "indices"):
+            x = np.asarray(getattr(self, name))
+            object.__setattr__(self, name, x if x.dtype in _INDEX_DTYPES else x.astype(np.int64))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         for problem in self.check():
             raise ValueError(problem)
@@ -95,6 +99,8 @@ class SparseAdj:
         csr = sp.csr_matrix(
             (self.weights, self.indices, self.indptr), shape=(self.n_rows, self.n_cols)
         )
+        object.__setattr__(self, "indptr", csr.indptr)
+        object.__setattr__(self, "indices", csr.indices)
         object.__setattr__(self, "_csr", csr)
         object.__setattr__(self, "_products", {(_F64, False): csr})
 
@@ -186,13 +192,7 @@ class SparseAdj:
         csr = coo.tocsr()  # sums duplicates
         csr.sum_duplicates()
         csr.sort_indices()
-        return SparseAdj(
-            n_rows,
-            n_cols,
-            csr.indptr.astype(np.int64),
-            csr.indices.astype(np.int64),
-            csr.data.astype(np.float64),
-        )
+        return SparseAdj(n_rows, n_cols, csr.indptr, csr.indices, csr.data)
 
 
 class RowNormalizedAdj(SparseAdj):
@@ -208,14 +208,12 @@ def row_normalize(a: SparseAdj) -> RowNormalizedAdj:
 
     Rows without entries stay empty: an object with no neighbors under this
     relation receives no message, which sidesteps the division by zero.
-    The sparsity pattern is unchanged.
+    The sparsity pattern is unchanged, and shared: so are the index arrays.
     """
     sums = a.row_sums()
     scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
     new_weights = a.weights * np.repeat(scale, np.diff(a.indptr))
-    return RowNormalizedAdj(
-        a.n_rows, a.n_cols, a.indptr.copy(), a.indices.copy(), new_weights
-    )
+    return RowNormalizedAdj(a.n_rows, a.n_cols, a.indptr, a.indices, new_weights)
 
 
 @dataclass(frozen=True)
@@ -243,6 +241,7 @@ class HinGraph:
         }
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "_features_by_dtype", {_F64: feats})
+        object.__setattr__(self, "_normalized_adjacency", None)
         labels = {
             t: np.asarray(v, dtype=np.int64) for t, v in (self.labels or {}).items()
         }
@@ -289,9 +288,13 @@ class HinGraph:
         return sum(a.nnz for a in self.adjacency.values())
 
 
-def normalized_adjacency(g: HinGraph) -> dict[Relation, RowNormalizedAdj]:
-    """Row-normalize every relation's adjacency once, for reuse across epochs."""
-    return {rel: row_normalize(a) for rel, a in g.adjacency.items()}
+def normalized_adjacency(g: HinGraph) -> Mapping[Relation, RowNormalizedAdj]:
+    """Every relation's row-normalized adjacency, built on the graph's
+    first request and kept with it, like ``HinGraph.features_as``."""
+    if g._normalized_adjacency is None:
+        norm = {rel: row_normalize(a) for rel, a in g.adjacency.items()}
+        object.__setattr__(g, "_normalized_adjacency", norm)
+    return g._normalized_adjacency
 
 
 def validate_graph(g: HinGraph) -> list[str]:

@@ -257,7 +257,6 @@ def forward(
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
     norm_adj: Mapping[Relation, RowNormalizedAdj] | None = None,
-    dtype=None,
 ) -> tuple[dict[str, GradMatrix], list[dict[str, np.ndarray]]]:
     """Run all layers; return final representations and attention records.
 
@@ -266,12 +265,10 @@ def forward(
     mode, dropout is applied to every hidden layer's output (never the
     last layer's), drawing masks from ``rng`` in schema order.
 
-    The pass computes in ``dtype``, reading the features through
-    ``g.features_as``. By default a train-mode pass computes in the
-    parameters' dtype, so the gradients match the parameters, and an
-    eval-mode pass in float64, so the representations and attention that
-    ``interpret`` and the CLI read keep float64 accuracy whatever the
-    parameters' dtype. The attention records are float64 either way.
+    Every pass computes in the parameters' dtype, reading the features
+    through ``g.features_as``, so train-mode gradients match the
+    parameters. The attention records are float64 whatever that dtype.
+    ``norm_adj`` defaults to the graph's own ``normalized_adjacency``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -280,9 +277,7 @@ def forward(
         raise ValueError("train-mode dropout needs an rng stream")
     if norm_adj is None:
         norm_adj = normalized_adjacency(g)
-    if dtype is None:
-        dtype = params.dtype if training else np.float64
-    feats = g.features_as(dtype)
+    feats = g.features_as(params.dtype)
     h = {}
     for t in g.schema.object_types:
         feat = feats[t]
@@ -313,9 +308,7 @@ def forward(
             except ValueError as err:
                 raise ValueError(f"layer {n} block {omega}: {err}") from err
         if training and n < n_layers:
-            new_h = {
-                t: dropout(x, dropout_rate, True, rng) for t, x in new_h.items()
-            }
+            new_h = {t: dropout(x, dropout_rate, rng) for t, x in new_h.items()}
         h = new_h
         records.append(layer_att)
     return h, records

@@ -10,7 +10,8 @@ import numpy as np
 
 from . import rng as rng_mod
 from .autodiff import GradCheckReport, GradMatrix, Tape, cross_entropy, gradcheck
-from .graph import HinGraph, Relation, RowNormalizedAdj, normalized_adjacency, validate_graph
+# normalized_adjacency is unused here, but hetbench/spans.py patches train's reference
+from .graph import HinGraph, normalized_adjacency, validate_graph  # noqa: F401
 from .model import ModelParams, clone_with, forward, init_params
 
 
@@ -79,8 +80,8 @@ def adam_step(
     """Bias-corrected Adam update in place.
 
     The l2 penalty enters as an extra gradient term ``l2_weight * theta``
-    before the moment updates (coupled weight decay). A non-finite gradient
-    or second moment (``g * g`` overflows for huge finite gradients) raises
+    before the moment updates (coupled weight decay). A non-finite gradient,
+    or one whose square overflows the bias-corrected second moment, raises
     FloatingPointError naming the step, which is the epoch in ``fit``, and
     the parameter, before that parameter is updated.
     """
@@ -91,15 +92,16 @@ def adam_step(
         if l2_weight:
             g = g + l2_weight * p.value
         state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        # a NaN or infinite gradient leaves v non-finite too, and a finite
-        # v means a finite g and so a finite m
-        if not np.isfinite(state.v[name]).all():
+        # v_hat is at least v, so a finite v_hat means a finite v, hence a
+        # finite g and m; on step 1 v_hat is 1000 v and can overflow alone
+        with np.errstate(over="ignore"):
+            state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
+            v_hat = state.v[name] / (1 - state.beta2**t)
+        if not np.isfinite(v_hat).all():
             raise FloatingPointError(
                 f"epoch {t}: parameter {name}: non-finite gradient or moment"
             )
         m_hat = state.m[name] / (1 - state.beta1**t)
-        v_hat = state.v[name] / (1 - state.beta2**t)
         p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
@@ -162,10 +164,8 @@ def evaluate(
     split: str | Mapping[str, np.ndarray],
     norm_adj=None,
 ) -> dict[str, dict]:
-    """Metrics per labeled type on the given split (name or index map).
-
-    The pass computes in the parameters' dtype: only each row's argmax is
-    read, which float32 keeps."""
+    """Metrics per labeled type on the given split (name or index map),
+    from one eval-mode ``forward``."""
     if isinstance(split, str):
         name = f"split {split!r}"
         parts = {
@@ -178,7 +178,7 @@ def evaluate(
     if not parts:
         where = f"types {types}" if types else "no type"
         raise ValueError(f"empty {name} for {where}: nothing to evaluate")
-    h, _ = forward(params, g, mode="eval", norm_adj=norm_adj, dtype=params.dtype)
+    h, _ = forward(params, g, mode="eval", norm_adj=norm_adj)
     out = {}
     for t, idx in parts.items():
         truth = g.labels[t][idx]
@@ -215,25 +215,24 @@ def model_loss_gradcheck(
     cfg: TrainConfig,
     h: float = 1e-5,
     tol: float = 1e-4,
-    params: ModelParams | None = None,
 ) -> GradCheckReport:
-    """End-to-end gradient check of forward + loss over every parameter.
+    """End-to-end gradient check of forward + loss over every parameter of
+    a fresh ``build_params(g, cfg)``, in float64.
 
     Runs in eval mode (no dropout) so the objective is deterministic; the
     loss covers all labeled objects.
     """
-    params = params if params is not None else build_params(g, cfg)
+    params = build_params(g, cfg)
     labeled_idx = {
         t: np.nonzero(lab >= 0)[0] for t, lab in g.labels.items() if (lab >= 0).any()
     }
     if not labeled_idx:
         raise ValueError("gradcheck needs at least one labeled object")
     values = {k: p.value for k, p in params.named().items()}
-    norm_adj = normalized_adjacency(g)
 
     def f(leaves):
         model = clone_with(params, leaves)
-        final, _ = forward(model, g, mode="eval", norm_adj=norm_adj)
+        final, _ = forward(model, g, mode="eval")
         return cross_entropy_loss(final, g.labels, labeled_idx)
 
     return gradcheck(f, values, h=h, tol=tol)
@@ -245,7 +244,6 @@ def train_step(
     adam: AdamState,
     cfg: TrainConfig,
     train_idx: Mapping[str, np.ndarray],
-    norm_adj: Mapping[Relation, RowNormalizedAdj],
     epoch: int,
 ) -> float:
     """One optimization step: train-mode forward on the whole graph, the
@@ -264,7 +262,6 @@ def train_step(
         mode="train",
         rng=rng_mod.stream(cfg.seed, "dropout", epoch),
         dropout_rate=cfg.dropout_rate,
-        norm_adj=norm_adj,
     )
     loss = cross_entropy_loss(h, g.labels, train_idx, cfg.loss_weights)
     value = float(loss.value[0, 0])
@@ -302,15 +299,14 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     params = build_params(g, cfg)
     named = params.named()
     adam = AdamState.for_params(named)
-    norm_adj = normalized_adjacency(g)
     log: list[dict] = []
     best_score = -np.inf
     best_values: dict[str, np.ndarray] = {k: p.value.copy() for k, p in named.items()}
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
-        loss = train_step(g, params, adam, cfg, train_idx, norm_adj, epoch)
-        val_metrics = evaluate(params, g, val_idx, norm_adj=norm_adj) if val_idx else {}
+        loss = train_step(g, params, adam, cfg, train_idx, epoch)
+        val_metrics = evaluate(params, g, val_idx) if val_idx else {}
         score = _val_score(val_metrics) if val_metrics else -loss
         record = {
             "epoch": epoch,

@@ -211,20 +211,16 @@ class TestAttend:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = constant(np.ones((4, 4)))
-        assert dropout(x, 0.0, True, np.random.default_rng(0)) is x
-
-    def test_eval_mode_identity(self):
-        x = constant(np.ones((4, 4)))
-        assert dropout(x, 0.5, False, np.random.default_rng(0)) is x
+        assert dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_rate_out_of_range(self):
         for rate in (-0.1, 1.0):
             with pytest.raises(ValueError, match="rate"):
-                dropout(constant(np.ones((1, 1))), rate, True, np.random.default_rng(0))
+                dropout(constant(np.ones((1, 1))), rate, np.random.default_rng(0))
 
     def test_inverted_scaling_keeps_mean(self):
         x = constant(np.ones((1000, 100)))
-        out = dropout(x, 0.5, True, rng_mod.stream(0, "drop"))
+        out = dropout(x, 0.5, rng_mod.stream(0, "drop"))
         assert out.value.mean() == pytest.approx(1.0, abs=0.02)
         survivors = out.value[out.value != 0]
         assert np.all(survivors == 2.0)
@@ -232,7 +228,7 @@ class TestDropout:
     def test_fixed_mask_gradient(self):
         # same stream seed on every evaluation: the mask is constant
         fd_check(
-            lambda p: loss(dropout(p["x"], 0.4, True, rng_mod.stream(3, "m"))),
+            lambda p: loss(dropout(p["x"], 0.4, rng_mod.stream(3, "m"))),
             {"x": (4, 4)},
             seed=11,
         )
@@ -376,7 +372,7 @@ class TestTapeDeterminism:
         for _ in range(2):
             tape = Tape()
             leaf = GradMatrix(x.copy(), tape)
-            hidden = dropout(leaf, 0.3, True, rng_mod.stream(9, "d"))
+            hidden = dropout(leaf, 0.3, rng_mod.stream(9, "d"))
             w_k, w_q = constant(np.ones((4, 2))), constant(np.full((4, 2), 0.5))
             out, _ = attend([hidden, leaf], w_k, w_q, constant(np.ones((4, 1))))
             outs.append(out.value.copy())

@@ -1,11 +1,13 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hetconv.bench import BenchReport, ScaleResult, _timed_epoch, default_scale_specs, run_scaling
 from hetconv.datagen import GenSpec
-from hetconv.model import normalized_adjacency
 from hetconv.train import AdamState, TrainConfig, build_params
 
 
@@ -99,7 +101,7 @@ def test_timed_epoch_trains_on_the_fit_loss(toy_graph):
     params = build_params(toy_graph, cfg)
     before = {k: p.value.copy() for k, p in params.named().items()}
     adam = AdamState.for_params(params.named())
-    _timed_epoch(toy_graph, params, adam, cfg, normalized_adjacency(toy_graph), epoch=1)
+    _timed_epoch(toy_graph, params, adam, cfg, epoch=1)
     for k, p in params.named().items():
         assert np.array_equal(p.value, before[k])
 
@@ -109,3 +111,44 @@ def test_default_scale_specs_cover_ten_x():
     assert len(specs) == 6
     authors = [s.counts["A"] for s in specs]
     assert authors[-1] / authors[0] >= 10
+
+
+HETBENCH = Path(__file__).resolve().parents[1] / "hetbench"
+
+
+def _hetbench_module(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"hetbench_{name}", HETBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_harness_runs_against_the_package(tmp_path, monkeypatch):
+    # hetbench/ patches package attributes by name and calls the public
+    # functions: enabling the tracer getattrs every patched attribute, and
+    # one tiny traced operation per workload must run and pass its check
+    spans = _hetbench_module("spans", monkeypatch)
+    workloads = _hetbench_module("workloads", monkeypatch)
+    tracer = spans.Tracer()
+    tracer.enable()
+    try:
+        outs = {}
+        for name, workload_cls in workloads.WORKLOADS.items():
+            workload = workload_cls(tiny=True)
+            workdir = tmp_path / name
+            workdir.mkdir()
+            with tracer.request(f"setup.{name}", "setup"):
+                state = workload.setup(0, workdir, tracer.value)
+            with tracer.request(f"op.{name}", "op"):
+                outs[name] = (workload, state, workload.run(state, 0))
+    finally:
+        tracer.disable()
+    for name in ("train_large", "explain_per_object"):
+        workload, state, out = outs[name]
+        assert workload.check(state, 0, out, tracer.value) == [], name
+    # the tiny planted graph is too small for the criterion-6 checks to pass
+    assert outs["planted_pipeline"][2]["code"] == 0
+    assert {"model.forward_train", "model.forward_eval", "cli.main"} <= {
+        span[0] for span in tracer.spans
+    }

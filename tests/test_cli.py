@@ -574,3 +574,29 @@ def test_empty_val_split_trains(data_dir, tmp_path):
     log = [json.loads(line) for line in (out / "training_log.jsonl").read_text().splitlines()]
     assert len(log) == TRAIN_CFG["max_epochs"]
     assert all(r["val_micro_f1"] is None for r in log)
+
+
+def test_train_and_explain_normalize_each_relation_once(data_dir, tmp_path, monkeypatch):
+    from hetconv import graph
+
+    normalized = []
+    row_normalize = graph.row_normalize
+
+    def counted(a):
+        normalized.append(a)
+        return row_normalize(a)
+
+    monkeypatch.setattr(graph, "row_normalize", counted)
+    n_relations = len(load_graph(data_dir).adjacency)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TRAIN_CFG))
+    out = tmp_path / "run"
+    args = ["--data", str(data_dir), "--config", str(cfg), "--out", str(out)]
+    assert quiet_main(["train", *args]) == 0
+    assert len(normalized) == n_relations
+    normalized.clear()
+    assert quiet_main(
+        ["explain", "--model", str(out / "model"), "--data", str(data_dir),
+         "--target", "A", "--per-object", "--out", str(tmp_path / "report.json")]
+    ) == 0
+    assert len(normalized) == n_relations

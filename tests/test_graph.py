@@ -91,6 +91,12 @@ class TestSparseAdj:
         a = adj_from_dense([[1, 3], [0, 0], [2, 2]])
         assert np.allclose(a.row_sums(), [4, 0, 4])
 
+    def test_index_arrays_are_the_scipy_handles(self):
+        built = SparseAdj(1, 3, [0, 2], [0, 2], [1.0, 1.0])
+        for a in (adj_from_dense([[1, 3], [0, 0], [2, 2]]), built):
+            assert np.shares_memory(a.indices, a._csr.indices)
+            assert np.shares_memory(a.indptr, a._csr.indptr)
+
 
 class TestRowNormalize:
     def test_equal_weights_split_evenly(self):
@@ -127,6 +133,15 @@ class TestRowNormalize:
         once = row_normalize(adj_from_dense(dense))
         twice = row_normalize(once)
         assert np.all(np.abs(once.weights - twice.weights) < 1e-9)
+
+    def test_shares_the_source_index_arrays(self, toy_graph):
+        a = toy_graph.adjacency[("A", "B")]
+        norm = row_normalize(a)
+        assert np.shares_memory(norm.indices, a.indices)
+        assert np.shares_memory(norm.indptr, a.indptr)
+
+    def test_graph_keeps_its_normalized_adjacency(self, toy_graph):
+        assert normalized_adjacency(toy_graph) is normalized_adjacency(toy_graph)
 
     def test_result_carries_the_type(self, toy_graph):
         assert isinstance(row_normalize(adj_from_dense([[1.0, 3.0]])), RowNormalizedAdj)
@@ -285,6 +300,7 @@ class TestDtypeCaches:
         refs = [
             weakref.ref(g.features_as(np.float32)["A"]),
             weakref.ref(a._product_csr(np.dtype(np.float32), False).data),
+            weakref.ref(normalized_adjacency(g)[("A", "B")]),
         ]
         del g, a
         gc.collect()

@@ -61,11 +61,16 @@ def dense_forward_oracle(g: HinGraph, params) -> dict[str, np.ndarray]:
     return h
 
 
-def toy_params(g, widths=(3, 2), d_a=2, seed=0, mean_variant=False):
+def toy_params(g, widths=(3, 2), d_a=2, seed=0, mean_variant=False, dtype=None):
+    """``build_params`` for a small config; ``dtype`` casts the parameters."""
     cfg = TrainConfig(
         layer_widths=widths, d_a=d_a, seed=seed, mean_variant=mean_variant
     )
-    return build_params(g, cfg)
+    params = build_params(g, cfg)
+    if dtype is not None:
+        for p in params.named().values():
+            p.value = p.value.astype(dtype)
+    return params
 
 
 def identity_adj(n):
@@ -277,18 +282,36 @@ class TestForward:
             assert np.array_equal(a[t].value, b[t].value)
 
     def test_matches_dense_oracle_two_layers(self, toy_graph):
-        params = toy_params(toy_graph, widths=(3,))
+        params = toy_params(toy_graph, widths=(3,), dtype=np.float64)
         h, _ = forward(params, toy_graph)
         want = dense_forward_oracle(toy_graph, params)
         for t in want:
             assert np.abs(h[t].value - want[t]).max() < 1e-10
 
     def test_matches_dense_oracle_three_layers(self, toy_graph):
-        params = toy_params(toy_graph, widths=(4, 2), d_a=3, seed=5)
+        params = toy_params(toy_graph, widths=(4, 2), d_a=3, seed=5, dtype=np.float64)
         h, _ = forward(params, toy_graph)
         want = dense_forward_oracle(toy_graph, params)
         for t in want:
             assert np.abs(h[t].value - want[t]).max() < 1e-10
+
+    def test_float32_matches_dense_oracle(self, toy_graph):
+        params = toy_params(toy_graph, widths=(4, 2), d_a=3, seed=5)
+        assert params.dtype == np.float32
+        h, _ = forward(params, toy_graph)
+        want = dense_forward_oracle(toy_graph, params)  # float64 arithmetic
+        for t in want:
+            assert h[t].value.dtype == np.float32
+            assert np.abs(h[t].value - want[t]).max() <= 1e-5 * np.abs(want[t]).max()
+
+    def test_eval_mode_applies_no_dropout(self, toy_graph):
+        params = toy_params(toy_graph)
+        rng = np.random.default_rng(0)
+        h, _ = forward(params, toy_graph, mode="eval", rng=rng, dropout_rate=0.5)
+        base, _ = forward(params, toy_graph)
+        for t in base:
+            assert np.array_equal(h[t].value, base[t].value)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
     def test_dim_error_names_layer_and_block(self, toy_graph):
         params = toy_params(toy_graph)
@@ -302,7 +325,7 @@ class TestForward:
             forward(params, toy_graph, mode="train", dropout_rate=0.5)
 
     def test_permutation_equivariance(self, toy_graph):
-        params = toy_params(toy_graph, widths=(4, 3), seed=2)
+        params = toy_params(toy_graph, widths=(4, 3), seed=2, dtype=np.float64)
         base, _ = forward(params, toy_graph)
         perm = np.array([2, 0, 1])
         dense_ab = toy_graph.adjacency[("A", "B")].to_dense()[:, perm]
@@ -472,15 +495,14 @@ class TestCheckpoint:
 
 
 class TestComputeDtype:
-    def test_eval_defaults_to_float64_and_train_to_the_parameters(self, toy_graph):
-        params = toy_params(toy_graph)
-        assert params.dtype == np.float32
-        h, _ = forward(params, toy_graph)
-        assert h["B"].value.dtype == np.float64
-        h32, _ = forward(params, toy_graph, dtype=np.float32)
-        assert h32["B"].value.dtype == np.float32
-        assert np.abs(h32["B"].value - h["B"].value).max() < 1e-5
-        tape = Tape()
-        params.attach(tape)
-        h_train, _ = forward(params, toy_graph, mode="train")
-        assert h_train["B"].value.dtype == np.float32
+    def test_eval_and_train_compute_in_the_parameters_dtype(self, toy_graph):
+        for dtype in (np.float32, np.float64):
+            params = toy_params(toy_graph, dtype=dtype)
+            h, records = forward(params, toy_graph)
+            assert h["B"].value.dtype == dtype
+            assert {att.dtype for layer in records for att in layer.values()} == {
+                np.dtype(np.float64)
+            }
+            params.attach(Tape())
+            h_train, _ = forward(params, toy_graph, mode="train")
+            assert h_train["B"].value.dtype == dtype

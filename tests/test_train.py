@@ -129,6 +129,14 @@ class TestAdamStep:
             runs.append(named["w"].value.copy())
         assert np.array_equal(runs[0], runs[1])
 
+    def test_bias_correction_overflow_raises(self):
+        # v = 1e307 is finite, but step 1's v_hat = v / 0.001 is not
+        named = _param([[1.0, 2.0]])
+        named["w"].grad = np.array([[1e155, 0.0]])
+        with pytest.raises(FloatingPointError, match="epoch 1: parameter w:"):
+            adam_step(named, AdamState.for_params(named), lr=0.01)
+        assert np.array_equal(named["w"].value, [[1.0, 2.0]])
+
 
 class TestMetrics:
     def test_all_correct(self):
@@ -218,16 +226,13 @@ class TestFit:
         assert [r["train_loss"] for r in log1] == [r["train_loss"] for r in log2]
 
     def test_train_step_applies_loss_weights(self, toy_graph):
-        from hetconv.model import normalized_adjacency
-
-        norm_adj = normalized_adjacency(toy_graph)
         train_idx = {"B": toy_graph.splits["B"]["train"]}
         losses = []
         for weights in (None, {"B": 2.0}):
             cfg = TrainConfig(layer_widths=(3, 2), d_a=2, seed=0, loss_weights=weights)
             params = build_params(toy_graph, cfg)
             adam = AdamState.for_params(params.named())
-            losses.append(train_step(toy_graph, params, adam, cfg, train_idx, norm_adj, epoch=1))
+            losses.append(train_step(toy_graph, params, adam, cfg, train_idx, epoch=1))
         assert losses[1] == pytest.approx(2.0 * losses[0], rel=1e-12)
 
     def test_no_labels_error(self, toy_graph):
@@ -286,18 +291,17 @@ class TestFloat32:
 
     def test_train_step_keeps_parameters_gradients_and_moments_float32(self, toy_graph):
         from hetconv.autodiff import Tape
-        from hetconv.model import forward, normalized_adjacency
+        from hetconv.model import forward
 
         cfg = TrainConfig(**self.CFG)
         params = build_params(toy_graph, cfg)
         named = params.named()
         adam = AdamState.for_params(named)
-        norm_adj = normalized_adjacency(toy_graph)
         train_idx = {"B": toy_graph.splits["B"]["train"]}
-        train_step(toy_graph, params, adam, cfg, train_idx, norm_adj, epoch=1)
+        train_step(toy_graph, params, adam, cfg, train_idx, epoch=1)
         tape = Tape()
         params.attach(tape)
-        h, _ = forward(params, toy_graph, mode="train", norm_adj=norm_adj)
+        h, _ = forward(params, toy_graph, mode="train")
         tape.backward(cross_entropy_loss(h, toy_graph.labels, train_idx))
         adam_step(named, adam, cfg.learning_rate, cfg.l2_weight)
         # blocks the loss never reads get no gradient
@@ -312,7 +316,7 @@ class TestFloat32:
 
         params = build_params(toy_graph, TrainConfig(**self.CFG))
         for mode, kw in (("train", {"rng": rng_mod.stream(0, "t"), "dropout_rate": 0.5}),
-                         ("eval", {"dtype": np.float32})):
+                         ("eval", {})):
             h, records = forward(params, toy_graph, mode=mode, **kw)
             assert h["B"].value.dtype == np.float32
             for layer in records:
