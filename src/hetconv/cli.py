@@ -116,7 +116,7 @@ def cmd_train(args) -> int:
     from .interpret import summarize_attention, summary_to_json
     from .io import atomic_write_text, write_json
     from .model import forward, save_model
-    from .train import evaluate, fit
+    from .train import fit, split_indices, split_metrics
 
     cfg = _train_config(args.config, args.seed)
     g = _load_graph(args.data)
@@ -153,13 +153,14 @@ def cmd_train(args) -> int:
         "".join(json.dumps(rec) + "\n" for rec in log),
     )
     save_model(out / "model", params, g.schema)
-    _, records = forward(params, g, mode="eval")
+    # one eval pass answers both the attention summary and the test metrics
+    final, records = forward(params, g, mode="eval")
     write_json(
         out / "attention_summary.json",
         summary_to_json(summarize_attention(records, g.schema)),
     )
     try:
-        metrics = evaluate(params, g, "test")
+        metrics = split_metrics(g, final, split_indices(g, "test"))
     except (KeyError, ValueError) as err:
         raise DataError(f"test split: {err}") from err
     write_json(out / "test_metrics.json", metrics)

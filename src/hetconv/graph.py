@@ -9,7 +9,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,6 +69,27 @@ class Schema:
         if omega not in self.object_types:
             raise KeyError(f"unknown object type: {omega!r}")
         return [src for src, dst in self.relations if dst == omega]
+
+    def live_blocks(self, outputs: Iterable[str], n_transitions: int) -> list[tuple[str, ...]]:
+        """The blocks each of ``n_transitions`` layer transitions must
+        compute so that the last one yields the ``outputs`` types.
+
+        Walks the schema backward from the outputs: a block reads its own
+        type and its neighbor types one layer below, so each transition
+        needs the blocks of the one above plus their neighbor types.
+        ``live[i]`` lists, in schema order, the block types of the
+        transition from layer ``i + 1`` to ``i + 2``. An unknown type is a
+        KeyError.
+        """
+        need = set(outputs)
+        for t in need:
+            if t not in self.object_types:
+                raise KeyError(f"unknown object type: {t!r}")
+        live = []
+        for _ in range(n_transitions):
+            live.append(tuple(t for t in self.object_types if t in need))
+            need |= {gamma for omega in need for gamma in self.neighbor_types(omega)}
+        return live[::-1]
 
 
 @dataclass(frozen=True)
@@ -242,6 +263,7 @@ class HinGraph:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "_features_by_dtype", {_F64: feats})
         object.__setattr__(self, "_normalized_adjacency", None)
+        object.__setattr__(self, "_aggregated_features", {})
         labels = {
             t: np.asarray(v, dtype=np.int64) for t, v in (self.labels or {}).items()
         }
@@ -295,6 +317,20 @@ def normalized_adjacency(g: HinGraph) -> Mapping[Relation, RowNormalizedAdj]:
         norm = {rel: row_normalize(a) for rel, a in g.adjacency.items()}
         object.__setattr__(g, "_normalized_adjacency", norm)
     return g._normalized_adjacency
+
+
+def aggregated_features(g: HinGraph, rel: Relation, dtype) -> np.ndarray:
+    """``normalized_adjacency(g)[rel] @ g.features_as(dtype)[src]``: the
+    relation's row-normalized aggregation of its source type's features,
+    computed on the graph's first request per relation and dtype and kept
+    with it. The features are constant, so a model layer reading them can
+    take this product instead of recomputing it on every pass."""
+    key = (rel, np.dtype(dtype))
+    product = g._aggregated_features.get(key)
+    if product is None:
+        product = normalized_adjacency(g)[rel].matmul(g.features_as(dtype)[rel[0]])
+        g._aggregated_features[key] = product
+    return product
 
 
 def validate_graph(g: HinGraph) -> list[str]:

@@ -202,8 +202,12 @@ def per_object_scores(
     prefix. Prefix masses per object sum to 1 at every layer when nothing
     is truncated and no object is isolated.
 
-    When a type tracks more than ``max_tracked`` prefixes, the lowest-mass
-    prefixes are dropped with a warning stating the discarded total mass.
+    Each layer carries only the types whose prefixes can reach the target
+    (``Schema.live_blocks``), so ``records`` needs only those blocks.
+    When such a type tracks more than ``max_tracked`` prefixes, the
+    lowest-mass prefixes are dropped with a warning stating how many were
+    dropped and their total mass; both count only prefixes that can reach
+    the target.
     """
     if target not in g.schema.object_types:
         raise KeyError(f"unknown object type: {target!r}")
@@ -213,9 +217,9 @@ def per_object_scores(
     }
     dropped_mass = 0.0
     dropped_prefixes = 0
-    for layer in records:
+    for layer, live in zip(records, g.schema.live_blocks((target,), len(records))):
         new_scores: dict[str, dict[tuple[str, ...], np.ndarray]] = {}
-        for omega in g.schema.object_types:
+        for omega in live:
             att = layer[omega]
             acc: dict[tuple[str, ...], np.ndarray] = {}
             for prefix, mass in scores[omega].items():

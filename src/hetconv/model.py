@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .graph import (
     RowNormalizedAdj,
     Schema,
     SparseAdj,
+    aggregated_features,
     normalized_adjacency,
     row_normalize,
 )
@@ -191,12 +192,15 @@ def hetero_conv(
     h_self: GradMatrix,
     h_neigh: Mapping[str, GradMatrix],
     adj_norm: Mapping[str, RowNormalizedAdj],
+    aggregated: Callable[[str], np.ndarray] | None = None,
 ) -> tuple[GradMatrix, dict[str, GradMatrix]]:
     """Project the block's own representation, and project and average each
     neighbor type's objects through the row-normalized adjacency.
 
     Each relation's product ``adj_norm[gamma] @ h_neigh[gamma] @ w_rel[gamma]``
     is associated in whichever order ``aggregates_first`` finds cheaper.
+    Where it aggregates first, ``aggregated(gamma)``, if given, supplies
+    the constant product ``adj_norm[gamma] @ h_neigh[gamma]`` instead.
     An adjacency not built by ``graph.row_normalize`` is an error.
     """
     if h_self.shape[1] != block.w_self.shape[0]:
@@ -217,7 +221,8 @@ def hetero_conv(
         if not isinstance(a, RowNormalizedAdj):
             raise ValueError(f"adjacency for neighbor type {gamma} is not row-normalized")
         if aggregates_first(a, *w.shape):
-            z_gamma[gamma] = matmul(spmm(a, h), w)
+            ah = constant(aggregated(gamma)) if aggregated else spmm(a, h)
+            z_gamma[gamma] = matmul(ah, w)
         else:
             z_gamma[gamma] = spmm(a, matmul(h, w))
     return z_self, z_gamma
@@ -257,27 +262,46 @@ def forward(
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
     norm_adj: Mapping[Relation, RowNormalizedAdj] | None = None,
+    outputs: Iterable[str] | None = None,
 ) -> tuple[dict[str, GradMatrix], list[dict[str, np.ndarray]]]:
-    """Run all layers; return final representations and attention records.
+    """Run the layers; return the final representations of the ``outputs``
+    types and the attention records.
 
+    ``outputs`` defaults to every type in eval mode and to the labeled
+    types (``g.labels``; every type if there are none) in train mode,
+    whose pass only feeds a loss over labels. Only the blocks the outputs
+    read are computed (``Schema.live_blocks``).
     ``attention_records[i][omega]`` is the attention matrix of block
-    ``omega`` at the transition from layer ``i + 1`` to ``i + 2``. In train
-    mode, dropout is applied to every hidden layer's output (never the
-    last layer's), drawing masks from ``rng`` in schema order.
+    ``omega`` at the transition from layer ``i + 1`` to ``i + 2``, for
+    each block that transition computed.
+
+    In train mode, dropout is applied to every hidden layer's output
+    (never the last layer's). Each (layer, type) draws its mask from its
+    own stream, labeled under one root drawn from ``rng``, so the masks
+    do not depend on which blocks are computed.
 
     Every pass computes in the parameters' dtype, reading the features
     through ``g.features_as``, so train-mode gradients match the
     parameters. The attention records are float64 whatever that dtype.
-    ``norm_adj`` defaults to the graph's own ``normalized_adjacency``.
+    ``norm_adj`` defaults to the graph's own ``normalized_adjacency``;
+    with that one, layer 2 takes its aggregations of the constant
+    features from ``graph.aggregated_features``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     training = mode == "train"
     if training and dropout_rate > 0 and rng is None:
         raise ValueError("train-mode dropout needs an rng stream")
+    # the cached aggregations belong to the graph's own adjacency only
+    own = norm_adj is None or norm_adj is g._normalized_adjacency
     if norm_adj is None:
         norm_adj = normalized_adjacency(g)
-    feats = g.features_as(params.dtype)
+    if outputs is None:
+        outputs = g.labels if training and g.labels else g.schema.object_types
+    live = g.schema.live_blocks(outputs, params.n_layers - 1)
+    drop_root = int(rng.integers(2**63)) if training and dropout_rate > 0 else None
+    dtype = params.dtype
+    feats = g.features_as(dtype)
     h = {}
     for t in g.schema.object_types:
         feat = feats[t]
@@ -289,26 +313,31 @@ def forward(
         h[t] = constant(feat)
     records: list[dict[str, np.ndarray]] = []
     n_layers = params.n_layers
-    for n in range(2, n_layers + 1):
-        blocks = params.layers[n - 2]
+    for n, blocks, layer_live in zip(range(2, n_layers + 1), params.layers, live):
         new_h: dict[str, GradMatrix] = {}
         layer_att: dict[str, np.ndarray] = {}
-        for omega in g.schema.object_types:
+        for omega in layer_live:
             neighbors = g.schema.neighbor_types(omega)
+            # layer 2 reads the constant features, whose aggregations the graph keeps
+            aggregated = None
+            if n == 2 and own:
+                aggregated = lambda gm, omega=omega: aggregated_features(g, (gm, omega), dtype)
             try:
                 z_self, z_gamma = hetero_conv(
                     blocks[omega],
                     h[omega],
                     h,
                     {gm: norm_adj[(gm, omega)] for gm in neighbors},
+                    aggregated,
                 )
-                new_h[omega], layer_att[omega] = type_attention(
+                out, layer_att[omega] = type_attention(
                     blocks[omega], z_self, z_gamma, neighbors, params.mean_variant
                 )
             except ValueError as err:
                 raise ValueError(f"layer {n} block {omega}: {err}") from err
-        if training and n < n_layers:
-            new_h = {t: dropout(x, dropout_rate, rng) for t, x in new_h.items()}
+            if drop_root is not None and n < n_layers:
+                out = dropout(out, dropout_rate, rng_mod.stream(drop_root, n, omega))
+            new_h[omega] = out
         h = new_h
         records.append(layer_att)
     return h, records

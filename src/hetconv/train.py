@@ -158,14 +158,9 @@ def classification_metrics(
     }
 
 
-def evaluate(
-    params: ModelParams,
-    g: HinGraph,
-    split: str | Mapping[str, np.ndarray],
-    norm_adj=None,
-) -> dict[str, dict]:
-    """Metrics per labeled type on the given split (name or index map),
-    from one eval-mode ``forward``."""
+def split_indices(g: HinGraph, split: str | Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The non-empty index arrays per type of a split, given by name or as
+    an index map; a ValueError names the split if nothing is left."""
     if isinstance(split, str):
         name = f"split {split!r}"
         parts = {
@@ -178,15 +173,35 @@ def evaluate(
     if not parts:
         where = f"types {types}" if types else "no type"
         raise ValueError(f"empty {name} for {where}: nothing to evaluate")
-    h, _ = forward(params, g, mode="eval", norm_adj=norm_adj)
+    return parts
+
+
+def split_metrics(
+    g: HinGraph, final: Mapping[str, GradMatrix], parts: Mapping[str, np.ndarray]
+) -> dict[str, dict]:
+    """Metrics per type of ``split_indices``' ``parts``, classifying each
+    object by the argmax of its eval-mode final representation."""
     out = {}
     for t, idx in parts.items():
         truth = g.labels[t][idx]
         if truth.min() < 0:
             raise ValueError(f"split for type {t} contains unlabeled objects")
-        pred = h[t].value[idx].argmax(axis=1)
+        pred = final[t].value[idx].argmax(axis=1)
         out[t] = classification_metrics(truth, pred, g.class_counts[t])
     return out
+
+
+def evaluate(
+    params: ModelParams,
+    g: HinGraph,
+    split: str | Mapping[str, np.ndarray],
+    norm_adj=None,
+) -> dict[str, dict]:
+    """Metrics per labeled type on the given split (name or index map),
+    from one eval-mode ``forward`` that computes only the split's types."""
+    parts = split_indices(g, split)
+    h, _ = forward(params, g, mode="eval", norm_adj=norm_adj, outputs=parts)
+    return split_metrics(g, h, parts)
 
 
 def _val_score(metrics: Mapping[str, dict]) -> float:
@@ -220,7 +235,9 @@ def model_loss_gradcheck(
     a fresh ``build_params(g, cfg)``, in float64.
 
     Runs in eval mode (no dropout) so the objective is deterministic; the
-    loss covers all labeled objects.
+    loss covers all labeled objects. The pass computes only the blocks
+    the loss reads, so every other parameter gets a zero gradient on both
+    routes; the report still lists it.
     """
     params = build_params(g, cfg)
     labeled_idx = {
@@ -232,7 +249,7 @@ def model_loss_gradcheck(
 
     def f(leaves):
         model = clone_with(params, leaves)
-        final, _ = forward(model, g, mode="eval")
+        final, _ = forward(model, g, mode="eval", outputs=labeled_idx)
         return cross_entropy_loss(final, g.labels, labeled_idx)
 
     return gradcheck(f, values, h=h, tol=tol)
@@ -252,7 +269,8 @@ def train_step(
     backward pass.
 
     The dropout masks come from the stream of ``(cfg.seed, epoch)``, so a
-    step is reproducible from its epoch number alone.
+    step is reproducible from its epoch number alone. The forward pass
+    computes only the blocks the loss over ``train_idx``'s types reads.
     """
     tape = Tape()
     params.attach(tape)
@@ -262,6 +280,7 @@ def train_step(
         mode="train",
         rng=rng_mod.stream(cfg.seed, "dropout", epoch),
         dropout_rate=cfg.dropout_rate,
+        outputs=train_idx,
     )
     loss = cross_entropy_loss(h, g.labels, train_idx, cfg.loss_weights)
     value = float(loss.value[0, 0])

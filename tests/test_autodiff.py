@@ -225,6 +225,22 @@ class TestDropout:
         survivors = out.value[out.value != 0]
         assert np.all(survivors == 2.0)
 
+    def test_keep_fraction(self):
+        out = dropout(constant(np.ones((1000, 100))), 0.3, rng_mod.stream(1, "drop"))
+        kept = out.value != 0
+        assert kept.mean() == pytest.approx(0.7, abs=0.005)
+        # survivors carry the inverse of the keep probability the 16-bit
+        # threshold rounds to: round(0.3 * 2^16) = 19661 of 2^16 values drop
+        assert np.all(out.value[kept] == 2**16 / (2**16 - 19661))
+
+    def test_rate_next_to_one_does_not_wrap(self):
+        # round((1 - 2^-20) * 2^16) is 2^16, which wraps to 0 in uint16
+        # and would keep every entry; it clamps to keeping 1 in 2^16
+        out = dropout(constant(np.ones((1000, 100))), 1 - 2**-20, rng_mod.stream(2, "drop"))
+        kept = out.value != 0
+        assert kept.sum() < 20
+        assert np.all(out.value[kept] == 2.0**16)
+
     def test_fixed_mask_gradient(self):
         # same stream seed on every evaluation: the mask is constant
         fd_check(

@@ -600,3 +600,24 @@ def test_train_and_explain_normalize_each_relation_once(data_dir, tmp_path, monk
          "--target", "A", "--per-object", "--out", str(tmp_path / "report.json")]
     ) == 0
     assert len(normalized) == n_relations
+
+
+def test_train_runs_one_eval_pass_after_fit(data_dir, tmp_path, monkeypatch):
+    from hetconv import model, train
+
+    modes = []
+    forward = model.forward
+
+    def counted(*args, **kwargs):
+        modes.append(kwargs.get("mode", "eval"))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted)
+    monkeypatch.setattr(train, "forward", counted)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TRAIN_CFG))
+    out = tmp_path / "run"
+    assert quiet_main(["train", "--data", str(data_dir), "--config", str(cfg), "--out", str(out)]) == 0
+    # each epoch: a train pass and the validation pass; then one pass for
+    # the attention summary and the test metrics
+    assert modes == ["train", "eval"] * TRAIN_CFG["max_epochs"] + ["eval"]

@@ -8,6 +8,7 @@ from hetconv.graph import (
     RowNormalizedAdj,
     Schema,
     SparseAdj,
+    aggregated_features,
     induced_subgraph,
     normalized_adjacency,
     row_normalize,
@@ -67,6 +68,31 @@ class TestNeighborTypes:
             got = set(dblp_schema.neighbor_types(omega))
             want = {s for s, d in dblp_schema.relations if d == omega}
             assert got == want
+
+
+class TestLiveBlocks:
+    def test_dblp_author_outputs(self, dblp_schema):
+        # A reads only P, and P reads every type
+        assert dblp_schema.live_blocks(["A"], 4) == [
+            ("P", "A", "C", "T"),
+            ("P", "A", "C", "T"),
+            ("P", "A"),
+            ("A",),
+        ]
+
+    def test_every_type_keeps_every_block(self, dblp_schema):
+        every = dblp_schema.object_types
+        assert dblp_schema.live_blocks(every, 3) == [every] * 3
+
+    def test_no_incoming_relations_keep_only_the_output(self):
+        s = Schema(("A", "B"), (("A", "B"),))
+        assert s.live_blocks({"A"}, 3) == [("A",)] * 3
+        assert s.live_blocks({"B"}, 3) == [("A", "B"), ("A", "B"), ("B",)]
+        assert s.live_blocks({"B"}, 0) == []
+
+    def test_unknown_type_named_in_error(self, dblp_schema):
+        with pytest.raises(KeyError, match="X"):
+            dblp_schema.live_blocks(["A", "X"], 2)
 
 
 class TestSparseAdj:
@@ -290,6 +316,20 @@ class TestDtypeCaches:
             assert np.shares_memory(f32.indptr, f64.indptr)
         assert a.weights.dtype == np.float64
 
+    def test_aggregated_features_cached_per_relation_and_dtype(self):
+        g = self._graph()
+        rel = ("A", "B")
+        for dtype in (np.float32, np.float64):
+            got = aggregated_features(g, rel, dtype)
+            assert got is aggregated_features(g, rel, np.dtype(dtype).name)
+            assert got.dtype == dtype
+            want = normalized_adjacency(g)[rel].matmul(g.features_as(dtype)["A"])
+            assert got.tobytes() == want.tobytes()
+        assert aggregated_features(g, rel, np.float32) is not aggregated_features(
+            g, rel, np.float64
+        )
+        assert aggregated_features(g, ("B", "A"), np.float32).shape == (4, 2)
+
     def test_caches_are_freed_with_their_owner(self):
         import gc
         import weakref
@@ -301,6 +341,7 @@ class TestDtypeCaches:
             weakref.ref(g.features_as(np.float32)["A"]),
             weakref.ref(a._product_csr(np.dtype(np.float32), False).data),
             weakref.ref(normalized_adjacency(g)[("A", "B")]),
+            weakref.ref(aggregated_features(g, ("A", "B"), np.float32)),
         ]
         del g, a
         gc.collect()

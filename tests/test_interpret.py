@@ -280,6 +280,32 @@ class TestPerObjectScores:
             for obj_scores in per_obj:
                 assert obj_scores.get(path, 0.0) == pytest.approx(score, abs=1e-9)
 
+    def test_records_of_the_target_ancestors_suffice(self):
+        g = random_hin(3)
+        params = build_params(g, TrainConfig(layer_widths=(3, 3, 2), d_a=2, seed=3))
+        _, full = forward(params, g)
+        _, live = forward(params, g, outputs=["A"])
+        assert [set(layer) for layer in live] == [{"P", "A", "C"}, {"P", "A"}, {"A"}]
+        assert per_object_scores(g, live, "A") == per_object_scores(g, full, "A")
+
+    def test_truncation_counts_only_prefixes_reaching_the_target(self):
+        import warnings
+
+        # nothing reads B, so its two prefixes per layer cannot reach A
+        schema = Schema(("A", "B"), (("A", "B"),))
+        adj = SparseAdj.from_edges(2, 2, [0, 1], [0, 1], [1.0, 1.0])
+        g = HinGraph(
+            schema=schema,
+            adjacency={("A", "B"): adj},
+            features={"A": np.ones((2, 2)), "B": np.ones((2, 2))},
+        )
+        layer = {"A": np.ones((2, 1)), "B": np.full((2, 2), 0.5)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert per_object_scores(g, [layer, layer], "A", max_tracked=1) == [{("A",): 1.0}] * 2
+        with pytest.warns(RuntimeWarning, match="truncated 1 prefixes"):
+            per_object_scores(g, [layer, layer], "B", max_tracked=1)
+
     def test_truncation_warns_with_dropped_mass(self):
         g = random_hin(1)
         records = forward_records(g, widths=(3, 3, 2), seed=1)

@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace as dataclass_replace
 
 import numpy as np
 import pytest
 
+from hetconv import rng as rng_mod
 from hetconv.autodiff import GradMatrix, Tape, constant, matmul, spmm
-from hetconv.graph import HinGraph, Schema, SparseAdj, row_normalize
+from hetconv.datagen import dblp_spec, generate, with_splits
+from hetconv.graph import HinGraph, Schema, SparseAdj, normalized_adjacency, row_normalize
 from hetconv.model import (
     BlockParams,
     aggregates_first,
@@ -18,7 +21,7 @@ from hetconv.model import (
     spectral_equivalence_on_graph,
     type_attention,
 )
-from hetconv.train import TrainConfig, build_params, model_loss_gradcheck
+from hetconv.train import TrainConfig, build_params, cross_entropy_loss, model_loss_gradcheck
 
 from conftest import bipartite_graph
 
@@ -383,6 +386,129 @@ class TestForward:
         mean, _ = forward(params, toy_graph)
         for t in frozen:
             assert np.abs(frozen[t].value - mean[t].value).max() < 1e-10
+
+
+def dblp_case(seed=2):
+    """A small DBLP-like graph (labels on A) and default-config float32
+    parameters: five layers, so L5's P, C, T and L4's C, T blocks are dead."""
+    g = with_splits(generate(dblp_spec(30, seed=seed)), 40.0, seed=seed)
+    return g, build_params(g, TrainConfig(seed=seed))
+
+
+class TestLiveBlocks:
+    def _train_pass(self, g, params, outputs):
+        tape = Tape()
+        params.attach(tape)
+        h, records = forward(
+            params, g, mode="train", rng=rng_mod.stream(0, "drop"), dropout_rate=0.5,
+            outputs=outputs,
+        )
+        loss = cross_entropy_loss(h, g.labels, {"A": g.splits["A"]["train"]})
+        tape.backward(loss)
+        grads = {
+            k: None if p.grad is None else p.grad.tobytes() for k, p in params.named().items()
+        }
+        params.attach(None)
+        return h, records, loss.value.tobytes(), grads
+
+    def test_default_train_pass_matches_every_output(self):
+        g, params = dblp_case()
+        h, records, loss, grads = self._train_pass(g, params, None)
+        h_all, records_all, loss_all, grads_all = self._train_pass(
+            g, params, g.schema.object_types
+        )
+        assert set(h) == {"A"} and set(h_all) == set(g.schema.object_types)
+        assert [set(r) for r in records] == [{"P", "A", "C", "T"}] * 2 + [{"P", "A"}, {"A"}]
+        assert loss == loss_all
+        assert grads == grads_all
+        # the dead blocks get no gradient on either route
+        for name in ("L5_P_self", "L5_T_q", "L4_C_self", "L4_T_rel_P"):
+            assert grads[name] is None
+        assert grads["L5_A_self"] is not None and grads["L4_P_rel_C"] is not None
+
+    def test_eval_outputs_compute_the_same_values(self):
+        g, params = dblp_case()
+        full, records_full = forward(params, g)
+        some, records = forward(params, g, outputs=["A"])
+        assert set(some) == {"A"}
+        assert some["A"].value.tobytes() == full["A"].value.tobytes()
+        for layer, layer_full in zip(records, records_full):
+            for omega, att in layer.items():
+                assert att.tobytes() == layer_full[omega].tobytes()
+
+    def test_unknown_output_type(self, toy_graph):
+        with pytest.raises(KeyError, match="X"):
+            forward(toy_params(toy_graph), toy_graph, outputs=["X"])
+
+    def test_masks_do_not_depend_on_the_computed_blocks(self):
+        # nothing reads C, which comes first in schema order, so masks drawn
+        # in block order would shift A's and B's when C is computed
+        rng = np.random.default_rng(4)
+        schema = Schema(("C", "A", "B"), (("A", "B"), ("B", "A"), ("B", "C")))
+        n = {"C": 3, "A": 4, "B": 5}
+        adjacency = {}
+        for src, dst in schema.relations:
+            dense = rng.random((n[dst], n[src])) < 0.7
+            dense[0, 0] = True
+            rows, cols = np.nonzero(dense)
+            adjacency[(src, dst)] = SparseAdj.from_edges(n[dst], n[src], rows, cols)
+        g = HinGraph(
+            schema=schema, adjacency=adjacency,
+            features={t: rng.normal(size=(k, 3)) for t, k in n.items()},
+        )
+        params = init_params(schema, {t: 3 for t in n}, [4, 4, 2], d_a=2, seed=0)
+        kw = dict(mode="train", dropout_rate=0.5)
+        h_b, records = forward(params, g, rng=rng_mod.stream(1, "d"), outputs=["B"], **kw)
+        assert [set(r) for r in records] == [{"A", "B"}, {"A", "B"}, {"B"}]
+        h_all, _ = forward(params, g, rng=rng_mod.stream(1, "d"), outputs=schema.object_types, **kw)
+        assert h_b["B"].value.tobytes() == h_all["B"].value.tobytes()
+
+
+class TestCachedAggregation:
+    def _aggregating_first(self, g, params):
+        norm = normalized_adjacency(g)
+        rels = {
+            (gm, omega)
+            for omega, block in params.layers[0].items()
+            for gm, w in block.w_rel.items()
+            if aggregates_first(norm[(gm, omega)], *w.shape)
+        }
+        assert rels  # at width 128 the relations from P aggregate first
+        return rels
+
+    def test_own_adjacency_fills_the_cache_once(self):
+        g, params = dblp_case()
+        rels = self._aggregating_first(g, params)
+        assert not g._aggregated_features
+        forward(params, g, norm_adj=normalized_adjacency(g))
+        cached = dict(g._aggregated_features)
+        assert set(cached) == {(rel, np.dtype(np.float32)) for rel in rels}
+        forward(params, g, mode="train")
+        assert all(g._aggregated_features[k] is v for k, v in cached.items())
+        assert len(g._aggregated_features) == len(cached)
+
+    def test_foreign_adjacency_bypasses_the_cache(self):
+        g, params = dblp_case()
+        self._aggregating_first(g, params)
+        # the same pattern with other weights
+        other = dataclass_replace(
+            g,
+            adjacency={
+                rel: SparseAdj(a.n_rows, a.n_cols, a.indptr, a.indices,
+                               a.weights * (1.0 + np.arange(a.nnz) % 3))
+                for rel, a in g.adjacency.items()
+            },
+        )
+        forward(params, g)  # fill g's cache
+        foreign, _ = forward(params, g, norm_adj=normalized_adjacency(other))
+        want, _ = forward(params, other)
+        own, _ = forward(params, g)
+        for t in want:
+            assert foreign[t].value.tobytes() == want[t].value.tobytes()
+            assert not np.array_equal(foreign[t].value, own[t].value)
+        fresh = dataclass_replace(g)
+        forward(params, fresh, norm_adj=normalized_adjacency(other))
+        assert not fresh._aggregated_features
 
 
 class TestSpectralEquivalence:

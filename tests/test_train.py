@@ -285,6 +285,14 @@ class TestModelLossGradcheck:
         report = model_loss_gradcheck(toy_graph, cfg, h=1e-5, tol=1e-4)
         assert report.passed, f"max rel err {report.max_rel_err:.2e}"
 
+    def test_reports_every_parameter_and_zero_for_dead_blocks(self, toy_graph):
+        cfg = TrainConfig(layer_widths=(3, 2), d_a=2, seed=0)
+        report = model_loss_gradcheck(toy_graph, cfg, h=1e-5, tol=1e-4)
+        assert set(report.rel_err) == set(build_params(toy_graph, cfg).named())
+        # the loss reads only B, so the last layer's A block is dead
+        dead = [k for k in report.abs_err if k.startswith("L3_A_")]
+        assert dead and all(report.abs_err[k] == 0.0 for k in dead)
+
 
 class TestFloat32:
     CFG = dict(layer_widths=(3, 2), d_a=2, seed=0)
@@ -328,6 +336,18 @@ class TestFloat32:
         p1, log1 = _fit_quick(toy_graph, 5)
         p2, log2 = _fit_quick(toy_graph, 5)
         assert p1.dtype == np.float32
+        for name, p in p1.named().items():
+            assert p.value.tobytes() == p2.named()[name].value.tobytes()
+        assert [r["train_loss"] for r in log1] == [r["train_loss"] for r in log2]
+
+    def test_seeded_float64_fits_bit_identical(self, toy_graph):
+        from dataclasses import replace
+
+        feats = {t: f * 1e16 for t, f in toy_graph.features.items()}
+        big = replace(toy_graph, features=feats)
+        p1, log1 = _fit_quick(big, 5)
+        p2, log2 = _fit_quick(replace(toy_graph, features=feats), 5)
+        assert p1.dtype == np.float64
         for name, p in p1.named().items():
             assert p.value.tobytes() == p2.named()[name].value.tobytes()
         assert [r["train_loss"] for r in log1] == [r["train_loss"] for r in log2]
