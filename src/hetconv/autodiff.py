@@ -75,7 +75,6 @@ class Tape:
         self._records: list[tuple["GradMatrix", Callable[[np.ndarray], None]]] = []
 
     def record(self, out: "GradMatrix", backward: Callable[[np.ndarray], None]) -> None:
-        out.node_id = len(self._records)
         self._records.append((out, backward))
 
     def backward(self, loss: "GradMatrix") -> None:
@@ -107,7 +106,7 @@ class GradMatrix:
     cast to float64.
     """
 
-    __slots__ = ("value", "tape", "node_id", "grad")
+    __slots__ = ("value", "tape", "grad")
 
     def __init__(self, value: np.ndarray, tape: Tape | None = None):
         value = np.asarray(value)
@@ -117,7 +116,6 @@ class GradMatrix:
             raise ValueError(f"GradMatrix must be 2-D, got shape {value.shape}")
         self.value = value
         self.tape = tape
-        self.node_id: int | None = None
         self.grad: np.ndarray | None = None
 
     @property
@@ -127,7 +125,6 @@ class GradMatrix:
     def watch(self, tape: Tape | None) -> "GradMatrix":
         """(Re-)attach to a tape as a leaf, clearing any accumulated gradient."""
         self.tape = tape
-        self.node_id = None
         self.grad = None
         return self
 

@@ -1,23 +1,24 @@
 """Scalability harness: epoch time versus graph size.
 
 Each scale's graph is generated up front (generation and any file I/O are
-excluded from timing); only full training epochs (forward, loss, backward,
-optimizer step) are measured. The first epoch per scale is a warmup and is
-discarded; the remaining repeats are summarized and a least-squares line of
-median epoch time against |V| + |E| quantifies how close the growth is to
-linear.
+excluded from timing) and trained by ``train.fit`` for ``repeats + 1``
+epochs. The timings are the ``epoch_seconds`` that ``fit`` logs, so an
+epoch is the train step (forward, loss, backward, optimizer step) and
+the validation pass. The first epoch per scale is a warmup and is
+discarded. The summaries, among them a least-squares line of median
+epoch time against |V| + |E| that quantifies how close the growth is to
+linear, are computed from the remaining epochs' seconds when read.
 """
 
 from __future__ import annotations
 
-import time
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import GenSpec, dblp_spec, generate, with_splits
-from .graph import HinGraph
-from .train import AdamState, TrainConfig, build_params, train_step
+from .train import TrainConfig, fit
 
 TRAIN_FRACTION = 20.0  # percent of each labeled type's objects in the train split
 
@@ -27,22 +28,27 @@ class ScaleResult:
     n_objects: int
     n_links: int
     epoch_seconds: list[float]
-    mean_seconds: float
-    std_seconds: float
-    median_seconds: float
 
     @property
     def size(self) -> int:
         return self.n_objects + self.n_links
 
+    @property
+    def mean_seconds(self) -> float:
+        return float(np.mean(self.epoch_seconds))
+
+    @property
+    def std_seconds(self) -> float:
+        return float(np.std(self.epoch_seconds))
+
+    @property
+    def median_seconds(self) -> float:
+        return float(np.median(self.epoch_seconds))
+
 
 @dataclass
 class BenchReport:
     scales: list[ScaleResult]
-    slope: float
-    intercept: float
-    r_squared: float
-    ratios: list[dict]  # consecutive {"scale_ratio", "time_ratio"}
     repeats: int
     threads: int
     failures: list[str]
@@ -53,6 +59,38 @@ class BenchReport:
             raise ValueError("scales must be strictly increasing in |V| + |E|")
         if self.repeats < 3:
             raise ValueError("need at least 3 timed repeats per scale")
+
+    @property
+    def line(self) -> dict[str, float]:
+        """``slope``, ``intercept`` and ``r_squared`` of the least-squares
+        line of median epoch seconds against |V| + |E|."""
+        x = np.array([s.size for s in self.scales], dtype=np.float64)
+        y = np.array([s.median_seconds for s in self.scales])
+        if len(self.scales) < 2:
+            return {"slope": 0.0, "intercept": float(y[0]) if len(y) else 0.0, "r_squared": 1.0}
+        slope, intercept = np.polyfit(x, y, 1)
+        residuals = y - (slope * x + intercept)
+        total = np.sum((y - y.mean()) ** 2)
+        r_squared = 1.0 - float(np.sum(residuals**2) / total) if total > 0 else 1.0
+        return {"slope": float(slope), "intercept": float(intercept), "r_squared": r_squared}
+
+    @property
+    def r_squared(self) -> float:
+        return self.line["r_squared"]
+
+    @property
+    def ratios(self) -> list[dict]:
+        """Consecutive ``{"scale_ratio", "time_ratio"}`` of size and median
+        epoch seconds."""
+        return [
+            {
+                "scale_ratio": b.size / a.size,
+                "time_ratio": b.median_seconds / a.median_seconds
+                if a.median_seconds > 0
+                else float("inf"),
+            }
+            for a, b in zip(self.scales, self.scales[1:])
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -67,11 +105,7 @@ class BenchReport:
                 }
                 for s in self.scales
             ],
-            "fit": {
-                "slope": self.slope,
-                "intercept": self.intercept,
-                "r_squared": self.r_squared,
-            },
+            "fit": self.line,
             "ratios": self.ratios,
             "repeats": self.repeats,
             "threads": self.threads,
@@ -89,9 +123,10 @@ class BenchReport:
                 f"{s.median_seconds:>10.4f} {s.mean_seconds:>10.4f} "
                 f"{s.std_seconds:>10.4f}"
             )
+        line = self.line
         lines.append(
-            f"linear fit: time = {self.slope:.3e} * size + "
-            f"{self.intercept:.3e}  (R^2 = {self.r_squared:.4f})"
+            f"linear fit: time = {line['slope']:.3e} * size + "
+            f"{line['intercept']:.3e}  (R^2 = {line['r_squared']:.4f})"
         )
         for r in self.ratios:
             lines.append(
@@ -117,20 +152,13 @@ def default_scale_specs(seed: int = 0, n_scales: int = 6) -> list[GenSpec]:
     return [dblp_spec(235 * 2**i, seed=seed, noise=0.05) for i in range(n_scales)]
 
 
-def _timed_epoch(g: HinGraph, params, adam, cfg: TrainConfig, epoch: int) -> float:
-    train_idx = {t: g.splits[t]["train"] for t in g.splits}
-    t0 = time.perf_counter()
-    train_step(g, params, adam, cfg, train_idx, epoch)
-    return time.perf_counter() - t0
-
-
 def run_scaling(
     specs: list[GenSpec],
     cfg: TrainConfig | None = None,
     repeats: int = 3,
     threads: int = 1,
 ) -> BenchReport:
-    """Time training epochs across graph scales and fit time vs size.
+    """Time ``fit``'s epochs across graph scales and fit time vs size.
 
     Scales run sequentially to keep timings interference-free. A scale
     that runs out of memory is recorded as a failure and skipped; the fit
@@ -140,19 +168,15 @@ def run_scaling(
         raise ValueError("need at least 5 scales for a meaningful fit")
     if repeats < 3:
         raise ValueError("need at least 3 timed repeats")
-    cfg = cfg or TrainConfig()
+    # patience == max_epochs never stops early: every epoch runs
+    epochs = repeats + 1
+    cfg = dataclasses.replace(cfg or TrainConfig(), max_epochs=epochs, patience=epochs)
     results: list[ScaleResult] = []
     failures: list[str] = []
     for spec in specs:
         try:
             g = with_splits(generate(spec), TRAIN_FRACTION, seed=spec.seed)
-            params = build_params(g, cfg)
-            adam = AdamState.for_params(params.named())
-            _timed_epoch(g, params, adam, cfg, epoch=0)  # warmup
-            times = [
-                _timed_epoch(g, params, adam, cfg, epoch=e)
-                for e in range(1, repeats + 1)
-            ]
+            _, log = fit(g, cfg)
         except MemoryError:
             failures.append(
                 f"out of memory at scale with counts {dict(spec.counts)}"
@@ -162,35 +186,7 @@ def run_scaling(
             ScaleResult(
                 n_objects=g.total_objects(),
                 n_links=g.total_links(),
-                epoch_seconds=times,
-                mean_seconds=float(np.mean(times)),
-                std_seconds=float(np.std(times)),
-                median_seconds=float(np.median(times)),
+                epoch_seconds=[r["epoch_seconds"] for r in log[1:]],  # log[0] is the warmup
             )
         )
-    x = np.array([r.size for r in results], dtype=np.float64)
-    y = np.array([r.median_seconds for r in results])
-    if len(results) >= 2:
-        slope, intercept = np.polyfit(x, y, 1)
-        residuals = y - (slope * x + intercept)
-        total = np.sum((y - y.mean()) ** 2)
-        r_squared = 1.0 - float(np.sum(residuals**2) / total) if total > 0 else 1.0
-    else:
-        slope, intercept, r_squared = 0.0, float(y[0]) if len(y) else 0.0, 1.0
-    ratios = [
-        {
-            "scale_ratio": float(x[i + 1] / x[i]),
-            "time_ratio": float(y[i + 1] / y[i]) if y[i] > 0 else float("inf"),
-        }
-        for i in range(len(results) - 1)
-    ]
-    return BenchReport(
-        scales=results,
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
-        ratios=ratios,
-        repeats=repeats,
-        threads=threads,
-        failures=failures,
-    )
+    return BenchReport(scales=results, repeats=repeats, threads=threads, failures=failures)

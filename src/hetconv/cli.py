@@ -3,7 +3,8 @@
 Subcommands: train, evaluate, explain, generate, benchmark, gradcheck,
 verify. Exit codes: 0 success, 1 usage or config error, 2 data validation
 error, 3 numerical check failure. The env var HETCONV_THREADS pins the
-numeric kernels' internal thread count when threadpoolctl is importable.
+numeric kernels' internal thread count, through threadpoolctl when it is
+importable and through the loaded OpenBLAS's own setter otherwise.
 Every artifact is written through a temp-file-plus-rename, and every run
 writes its fully resolved config.
 """
@@ -11,9 +12,11 @@ writes its fully resolved config.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -37,10 +40,41 @@ class DataError(Exception):
 _thread_limiter = None
 
 
+def _openblas(op: str) -> dict:
+    """``openblas_<op>`` of each OpenBLAS mapped into this process, by
+    library file name, under whichever exported name its build uses."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.split()[-1]}
+    except OSError:  # no /proc: no library is found
+        return {}
+    found = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for sym in (f"scipy_openblas_{op}64_", f"scipy_openblas_{op}",
+                    f"openblas_{op}64_", f"openblas_{op}"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                found[Path(path).name] = fn
+                break
+    return found
+
+
+def _blas_threads() -> dict[str, int]:
+    """The thread count each loaded OpenBLAS reports, by library file name."""
+    counts = {}
+    for name, fn in _openblas("get_num_threads").items():
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        counts[name] = fn()
+    return counts
+
+
 def _pin_threads() -> int:
     """Apply HETCONV_THREADS to the BLAS/OpenMP pools; return the thread
-    count in effect. Without threadpoolctl the variable is only validated,
-    and the count is its value, or 1 when it is unset."""
+    count in effect. Without threadpoolctl the variable is applied through
+    each loaded OpenBLAS's own ``set_num_threads``, and the count is the
+    largest that one of them reports back; with no OpenBLAS loaded it is
+    the variable's value, or 1 when it is unset."""
     global _thread_limiter
     raw = os.environ.get("HETCONV_THREADS")
     if raw and (not raw.isdecimal() or int(raw) < 1):
@@ -48,7 +82,11 @@ def _pin_threads() -> int:
     try:
         import threadpoolctl
     except ImportError:
-        return int(raw or 1)
+        if raw:
+            for fn in _openblas("set_num_threads").values():
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(int(raw))
+        return max(_blas_threads().values(), default=int(raw or 1))
     if raw:
         _thread_limiter = threadpoolctl.threadpool_limits(limits=int(raw))
     return max((p["num_threads"] for p in threadpoolctl.threadpool_info()), default=1)
@@ -76,7 +114,8 @@ def _load_graph(path: str):
 
 
 def _load_model(path: str, g):
-    """A checkpoint's parameters, checked against the graph's schema."""
+    """A checkpoint's parameters, checked against the graph's schema and
+    feature widths."""
     from .model import load_model, schema_hash
 
     try:
@@ -85,6 +124,12 @@ def _load_model(path: str, g):
         raise DataError(f"bad checkpoint {path}: {err}") from err
     if schema_hash(schema) != schema_hash(g.schema):
         raise DataError("schema hash mismatch between checkpoint and data")
+    for t in g.schema.object_types:
+        if params.dims[0][t] != g.features[t].shape[1]:
+            raise DataError(
+                f"checkpoint {path}: type {t} takes input width {params.dims[0][t]}, "
+                f"but the data's features_{t} has width {g.features[t].shape[1]}"
+            )
     return params
 
 
@@ -209,12 +254,14 @@ def cmd_explain(args) -> int:
         g = _load_graph(args.data)
         params = _load_model(args.model, g)
         schema = g.schema
-        _, records = forward(params, g, mode="eval")
-        summary = summarize_attention(records, schema)
     else:
         raise UsageError("explain needs either --summary or both --model and --data")
     if args.target not in schema.object_types:
         raise UsageError(f"unknown target type: {args.target!r}")
+    if g is not None:
+        # both reports read only the blocks the target's representation reads
+        _, records = forward(params, g, mode="eval", outputs=[args.target])
+        summary = summarize_attention(records, schema)
     ranked = score_meta_paths(summary, args.target)
     if args.top_k:
         ranked = ranked[: args.top_k]
@@ -281,12 +328,28 @@ def cmd_benchmark(args) -> int:
     )
     payload = report.to_json()
     payload["config"] = dataclasses.asdict(cfg)
+    payload["environment"] = _environment()
     if args.out:
         write_json(args.out, payload)
     if args.csv:
         atomic_write_text(args.csv, report.to_csv())
     print(report.to_text())
     return EXIT_OK
+
+
+def _environment() -> dict:
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "cpu_count": os.cpu_count(),
+        "blas_threads": _blas_threads(),
+    }
 
 
 def _downscaled(g, max_objects: int, max_features: int):

@@ -113,10 +113,10 @@ def _build_params(
     dims: list[dict[str, int]],
     d_a: int,
     mean_variant: bool,
-    value: Callable[[int, str, str, tuple[int, int]], np.ndarray],
+    value: Callable[[int, str, str, tuple[int, int]], GradMatrix],
 ) -> ModelParams:
     """The parameter layout for per-layer widths ``dims``, each parameter
-    valued by ``value(n, omega, key, shape)``: layer ``n``, block type
+    the GradMatrix ``value(n, omega, key, shape)``: layer ``n``, block type
     ``omega``, and key ``self``, ``rel_<gamma>`` (neighbor types in schema
     order), ``q``, ``k`` or ``a``."""
     layers = []
@@ -126,7 +126,7 @@ def _build_params(
             d_out = dims[n - 1][omega]
 
             def param(key, rows, cols):
-                return GradMatrix(value(n, omega, key, (rows, cols)))
+                return value(n, omega, key, (rows, cols))
 
             blocks[omega] = BlockParams(
                 w_self=param("self", dims[n - 2][omega], d_out),
@@ -168,7 +168,7 @@ def init_params(
     def draw(n, omega, key, shape):
         # the stream label of rel_<gamma> is ("rel", gamma)
         stream = rng_mod.stream(seed, "init", n, omega, *key.split("_", 1))
-        return xavier_uniform(*shape, stream).astype(dtype, copy=False)
+        return GradMatrix(xavier_uniform(*shape, stream).astype(dtype, copy=False))
 
     return _build_params(schema, dims, d_a, mean_variant, draw)
 
@@ -456,30 +456,21 @@ def spectral_equivalence_on_graph(
     )
 
 
-def clone_with(params: ModelParams, named: Mapping[str, GradMatrix]) -> ModelParams:
-    """A ModelParams view whose blocks reference the given leaves.
+def clone_with(
+    params: ModelParams, schema: Schema, named: Mapping[str, GradMatrix]
+) -> ModelParams:
+    """A view of ``params``, built for ``schema``, whose blocks reference
+    the given leaves.
 
     Used by the gradient checker: the taped forward pass must consume the
     exact GradMatrix objects registered as leaves.
     """
-    layers = []
-    for i, blocks in enumerate(params.layers):
-        rebuilt = {}
-        for omega, b in blocks.items():
-
-            def leaf(key):
-                return named[_param_name(i + 2, omega, key)]
-
-            rebuilt[omega] = BlockParams(
-                w_self=leaf("self"),
-                w_rel={gm: leaf(f"rel_{gm}") for gm in b.w_rel},
-                w_q=leaf("q"),
-                w_k=leaf("k"),
-                w_a=leaf("a"),
-            )
-        layers.append(rebuilt)
-    return ModelParams(
-        layers=layers, dims=params.dims, d_a=params.d_a, mean_variant=params.mean_variant
+    return _build_params(
+        schema,
+        params.dims,
+        params.d_a,
+        params.mean_variant,
+        lambda n, omega, key, shape: named[_param_name(n, omega, key)],
     )
 
 
@@ -556,8 +547,10 @@ def load_model(directory: Path | str) -> tuple[ModelParams, Schema]:
         name = _param_name(n, omega, key)
         if name not in arrays:
             missing.append(name)
-            return np.zeros(shape)  # reported below with every other missing name
-        return checked_matrix(f"{path}: {name}", arrays[name], shape).astype(dtype, copy=False)
+            return GradMatrix(np.zeros(shape))  # reported below with every other missing name
+        return GradMatrix(
+            checked_matrix(f"{path}: {name}", arrays[name], shape).astype(dtype, copy=False)
+        )
 
     params = _build_params(schema, dims, d_a, mean_variant, take)
     extra = sorted(arrays.keys() - params.named().keys())

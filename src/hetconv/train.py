@@ -248,7 +248,7 @@ def model_loss_gradcheck(
     values = {k: p.value for k, p in params.named().items()}
 
     def f(leaves):
-        model = clone_with(params, leaves)
+        model = clone_with(params, g.schema, leaves)
         final, _ = forward(model, g, mode="eval", outputs=labeled_idx)
         return cross_entropy_loss(final, g.labels, labeled_idx)
 

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hetconv.bench import BenchReport, ScaleResult, _timed_epoch, default_scale_specs, run_scaling
+from hetconv import bench
+from hetconv.bench import BenchReport, ScaleResult, default_scale_specs, run_scaling
 from hetconv.datagen import GenSpec
-from hetconv.train import AdamState, TrainConfig, build_params
+from hetconv.train import TrainConfig
 
 
 def tiny_specs(n=5, seed=0):
@@ -50,7 +51,7 @@ class TestRunScaling:
             assert s.median_seconds == pytest.approx(float(np.median(s.epoch_seconds)))
 
     def test_fit_fields_present(self, tiny_report):
-        assert np.isfinite(tiny_report.slope)
+        assert np.isfinite(tiny_report.line["slope"])
         assert np.isfinite(tiny_report.r_squared)
         assert len(tiny_report.ratios) == len(tiny_report.scales) - 1
         assert tiny_report.failures == []
@@ -70,40 +71,57 @@ class TestBenchReportInvariants:
             n_objects=size // 2,
             n_links=size - size // 2,
             epoch_seconds=[0.1, 0.1, 0.1],
-            mean_seconds=0.1,
-            std_seconds=0.0,
-            median_seconds=0.1,
         )
 
     def test_decreasing_scales_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             BenchReport(
                 scales=[self._scale(100), self._scale(50)],
-                slope=0.0, intercept=0.0, r_squared=1.0,
-                ratios=[], repeats=3, threads=1, failures=[],
+                repeats=3, threads=1, failures=[],
             )
 
     def test_too_few_repeats_rejected(self):
         with pytest.raises(ValueError, match="repeats"):
             BenchReport(
                 scales=[self._scale(100)],
-                slope=0.0, intercept=0.0, r_squared=1.0,
-                ratios=[], repeats=2, threads=1, failures=[],
+                repeats=2, threads=1, failures=[],
             )
 
 
-def test_timed_epoch_trains_on_the_fit_loss(toy_graph):
-    # a zero loss weight leaves nothing to learn: without l2 the epoch
-    # must not move any parameter
-    cfg = TrainConfig(
-        layer_widths=(3, 2), d_a=2, seed=0, l2_weight=0.0, loss_weights={"B": 0.0}
-    )
-    params = build_params(toy_graph, cfg)
-    before = {k: p.value.copy() for k, p in params.named().items()}
-    adam = AdamState.for_params(params.named())
-    _timed_epoch(toy_graph, params, adam, cfg, epoch=1)
-    for k, p in params.named().items():
-        assert np.array_equal(p.value, before[k])
+def test_summaries_are_computed_from_the_epoch_seconds():
+    # epoch time exactly proportional to size |V| + |E| = 2n
+    scales = [
+        ScaleResult(n_objects=n, n_links=n, epoch_seconds=[n * 1e-5, n * 2e-5, n * 1.5e-5])
+        for n in (50, 100, 200)
+    ]
+    report = BenchReport(scales=scales, repeats=3, threads=1, failures=[])
+    assert [s.median_seconds for s in scales] == pytest.approx([7.5e-4, 1.5e-3, 3e-3])
+    assert scales[0].mean_seconds == pytest.approx(7.5e-4)
+    assert scales[0].std_seconds == pytest.approx(float(np.std([5e-4, 1e-3, 7.5e-4])))
+    assert report.line == pytest.approx({"slope": 7.5e-6, "intercept": 0.0, "r_squared": 1.0})
+    assert report.ratios == pytest.approx([{"scale_ratio": 2.0, "time_ratio": 2.0}] * 2)
+    scales[2].epoch_seconds = [0.0] * 3  # a later change to the seconds shows in every summary
+    assert report.ratios[1]["time_ratio"] == 0.0
+    assert report.r_squared < 1.0
+    assert report.to_json()["fit"] == report.line
+    assert report.to_csv().splitlines()[3] == "200,200,400,0.0,0.0,0.0"
+
+
+def test_run_scaling_times_fit_epochs_after_the_warmup(monkeypatch):
+    logs = []
+    fit = bench.fit
+
+    def logged_fit(g, cfg):
+        params, log = fit(g, cfg)
+        logs.append(log)
+        return params, log
+
+    monkeypatch.setattr(bench, "fit", logged_fit)
+    report = run_scaling(tiny_specs(), TrainConfig(layer_widths=(8, 2), d_a=4, seed=0), repeats=3)
+    assert [len(log) for log in logs] == [4] * 5  # patience == max_epochs: no early stop
+    assert [s.epoch_seconds for s in report.scales] == [
+        [r["epoch_seconds"] for r in log[1:]] for log in logs
+    ]
 
 
 def test_default_scale_specs_cover_ten_x():

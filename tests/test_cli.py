@@ -149,6 +149,22 @@ class TestBadInputExitsData:
         assert str(missing) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_feature_width_mismatch(self, data_dir, run_dir, tmp_path, command):
+        narrow = tmp_path / "narrow"
+        shutil.copytree(data_dir, narrow)
+        feats = narrow / "features_A.npy"
+        np.save(feats, np.load(feats)[:, :8])
+        ckpt = run_dir / "model"
+        args = [command, "--model", str(ckpt), "--data", str(narrow)]
+        proc = run_cli(args + (["--target", "A"] if command == "explain" else []))
+        assert proc.returncode == cli.EXIT_DATA
+        assert (
+            f"checkpoint {ckpt}: type A takes input width {GEN_SPEC['feature_dim']}, "
+            "but the data's features_A has width 8"
+        ) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_truncated_parameter_file(self, data_dir, run_dir, tmp_path):
         ckpt = tmp_path / "model"
         shutil.copytree(run_dir / "model", ckpt)
@@ -369,6 +385,28 @@ class TestExplain:
         top = report["per_object"][0][0]
         assert set(top) == {"meta_path", "score"}
 
+    def test_per_object_report_matches_a_full_record_pass(
+        self, data_dir, run_dir, tmp_path, monkeypatch
+    ):
+        from hetconv import model
+
+        args = ["explain", "--model", str(run_dir / "model"), "--data", str(data_dir),
+                "--target", "A", "--per-object", "--out"]
+        target_only = tmp_path / "target_only.json"
+        assert quiet_main(args + [str(target_only)]) == 0
+        requested = []
+        forward = model.forward
+
+        def full_pass(params, g, mode="eval", outputs=None):
+            requested.append(outputs)
+            return forward(params, g, mode=mode)
+
+        monkeypatch.setattr(model, "forward", full_pass)
+        full = tmp_path / "full.json"
+        assert quiet_main(args + [str(full)]) == 0
+        assert requested == [["A"]]
+        assert json.loads(target_only.read_text()) == json.loads(full.read_text())
+
     def test_tsv_report(self, tmp_path, dblp_schema):
         summary_path = tmp_path / "summary.json"
         summary_path.write_text(json.dumps(summary_to_json(dblp_reference_summary(dblp_schema))))
@@ -460,6 +498,25 @@ class TestBenchmarkCommand:
         assert len(report["scales"]) == 5
         assert "linear fit" in capsys.readouterr().out
         assert (tmp_path / "bench.csv").exists()
+
+
+    def test_records_the_pinned_thread_count(self, tmp_path):
+        # empty OpenBLAS/OpenMP variables leave the pool at its default size
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"layer_widths": [4, 2], "d_a": 2}))
+        out = tmp_path / "bench.json"
+        proc = run_cli(
+            ["benchmark", "--scales", "5", "--repeats", "3", "--config", str(cfg),
+             "--out", str(out)],
+            HETCONV_THREADS="1", OPENBLAS_NUM_THREADS="", OMP_NUM_THREADS="",
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        report = json.loads(out.read_text())
+        assert report["threads"] == 1
+        env = report["environment"]
+        assert env["blas_threads"] and set(env["blas_threads"].values()) == {1}
+        assert env["cpu_count"] == os.cpu_count()
+        assert {"python", "numpy", "scipy", "blas"} <= env.keys()
 
 
 def _bad_npy(kind: str) -> bytes:
