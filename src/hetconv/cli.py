@@ -92,6 +92,31 @@ def _pin_threads() -> int:
     return max((p["num_threads"] for p in threadpoolctl.threadpool_info()), default=1)
 
 
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert(text)``, rejected unless ``ok`` holds for
+    it; argparse reports the rejection under the option's name."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _int_at_least(lo: int):
+    return _checked(int, lambda v: v >= lo, f"an integer >= {lo}")
+
+
+_positive_int, _non_negative_int = _int_at_least(1), _int_at_least(0)
+_positive_float = _checked(float, lambda v: 0 < v < float("inf"), "a positive number")
+_percentage = _checked(float, lambda v: 0 < v < 100, "a percentage in (0, 100)")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -446,8 +471,8 @@ def build_parser() -> _Parser:
     x.add_argument("--summary", default=None, help="attention summary JSON instead of a model")
     x.add_argument("--target", required=True)
     x.add_argument("--per-object", action="store_true", dest="per_object")
-    x.add_argument("--top-k", type=int, default=0, dest="top_k")
-    x.add_argument("--max-tracked", type=int, default=256, dest="max_tracked")
+    x.add_argument("--top-k", type=_non_negative_int, default=0, dest="top_k")
+    x.add_argument("--max-tracked", type=_positive_int, default=256, dest="max_tracked")
     x.add_argument("--out", default=None)
     x.add_argument("--tsv", default=None)
     x.set_defaults(func=cmd_explain)
@@ -456,32 +481,33 @@ def build_parser() -> _Parser:
     gn.add_argument("--spec", required=True, help="generator spec JSON")
     gn.add_argument("--out", required=True)
     gn.add_argument("--seed", type=int, default=None)
-    gn.add_argument("--train-fraction", type=float, default=20.0, dest="train_fraction")
+    gn.add_argument("--train-fraction", type=_percentage, default=20.0, dest="train_fraction")
     gn.set_defaults(func=cmd_generate)
 
     b = sub.add_parser("benchmark", help="epoch-time scaling across graph sizes")
     b.add_argument("--out", default=None)
     b.add_argument("--csv", default=None)
-    b.add_argument("--scales", type=int, default=6)
-    b.add_argument("--repeats", type=int, default=3)
+    # run_scaling's minimums: five scales for the line fit, three timed repeats
+    b.add_argument("--scales", type=_int_at_least(5), default=6)
+    b.add_argument("--repeats", type=_int_at_least(3), default=3)
     b.add_argument("--config", default=None)
     b.add_argument("--seed", type=int, default=None)
     b.set_defaults(func=cmd_benchmark)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check on a small model")
     gc.add_argument("--data", required=True)
-    gc.add_argument("--h", type=float, default=1e-5)
-    gc.add_argument("--tol", type=float, default=GRADCHECK_TOL)
+    gc.add_argument("--h", type=_positive_float, default=1e-5)
+    gc.add_argument("--tol", type=_positive_float, default=GRADCHECK_TOL)
     gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--max-objects", type=int, default=40, dest="max_objects")
-    gc.add_argument("--max-features", type=int, default=6, dest="max_features")
+    gc.add_argument("--max-objects", type=_positive_int, default=40, dest="max_objects")
+    gc.add_argument("--max-features", type=_positive_int, default=6, dest="max_features")
     gc.set_defaults(func=cmd_gradcheck)
 
     v = sub.add_parser("verify", help="validation, spectral equivalence, gradcheck")
     v.add_argument("--data", required=True)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--max-objects", type=int, default=40, dest="max_objects")
-    v.add_argument("--max-features", type=int, default=6, dest="max_features")
+    v.add_argument("--max-objects", type=_positive_int, default=40, dest="max_objects")
+    v.add_argument("--max-features", type=_positive_int, default=6, dest="max_features")
     v.set_defaults(func=cmd_verify)
     return p
 

@@ -11,7 +11,7 @@ recovers at least a ``1 - noise`` fraction of the labels by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -310,24 +310,13 @@ def random_features(n: int, dim: int, seed: int, label: str = "") -> np.ndarray:
 
 def spec_from_json(obj: Mapping) -> GenSpec:
     """GenSpec from a JSON object; unknown keys are rejected."""
-    known = {
-        "counts",
-        "schema",
-        "edges",
-        "planted_path",
-        "n_classes",
-        "noise",
-        "feature_dim",
-        "informative_features",
-        "seed",
-    }
-    unknown = set(obj) - known
+    unknown = set(obj) - {f.name for f in fields(GenSpec)}
     if unknown:
         raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
-    kwargs: dict = {"counts": dict(obj["counts"])}
-    if "schema" in obj:
-        kwargs["schema"] = Schema.from_json(obj["schema"])
-    if "edges" in obj:
+    kwargs = dict(obj)
+    if "schema" in kwargs:
+        kwargs["schema"] = Schema.from_json(kwargs["schema"])
+    if "edges" in kwargs:
         kwargs["edges"] = tuple(
             EdgeSpec(
                 picker=e["picker"],
@@ -336,10 +325,6 @@ def spec_from_json(obj: Mapping) -> GenSpec:
                     **{k: v for k, v in e.items() if k not in ("picker", "picked")}
                 ),
             )
-            for e in obj["edges"]
+            for e in kwargs["edges"]
         )
-    for key in ("planted_path", "n_classes", "noise", "feature_dim",
-                "informative_features", "seed"):
-        if key in obj:
-            kwargs[key] = tuple(obj[key]) if key == "planted_path" else obj[key]
     return GenSpec(**kwargs)

@@ -216,15 +216,7 @@ class SparseAdj:
         return SparseAdj(n_rows, n_cols, csr.indptr, csr.indices, csr.data)
 
 
-class RowNormalizedAdj(SparseAdj):
-    """A ``SparseAdj`` whose nonzero rows sum to 1, built by ``row_normalize``.
-
-    The type carries the invariant, so the convolution checks it with
-    ``isinstance`` instead of re-summing every row on each forward pass.
-    """
-
-
-def row_normalize(a: SparseAdj) -> RowNormalizedAdj:
+def row_normalize(a: SparseAdj) -> SparseAdj:
     """Divide each row by its sum so nonzero rows sum to 1.
 
     Rows without entries stay empty: an object with no neighbors under this
@@ -234,7 +226,7 @@ def row_normalize(a: SparseAdj) -> RowNormalizedAdj:
     sums = a.row_sums()
     scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
     new_weights = a.weights * np.repeat(scale, np.diff(a.indptr))
-    return RowNormalizedAdj(a.n_rows, a.n_cols, a.indptr, a.indices, new_weights)
+    return SparseAdj(a.n_rows, a.n_cols, a.indptr, a.indices, new_weights)
 
 
 @dataclass(frozen=True)
@@ -310,7 +302,7 @@ class HinGraph:
         return sum(a.nnz for a in self.adjacency.values())
 
 
-def normalized_adjacency(g: HinGraph) -> Mapping[Relation, RowNormalizedAdj]:
+def normalized_adjacency(g: HinGraph) -> Mapping[Relation, SparseAdj]:
     """Every relation's row-normalized adjacency, built on the graph's
     first request and kept with it, like ``HinGraph.features_as``."""
     if g._normalized_adjacency is None:

@@ -34,7 +34,6 @@ from .autodiff import (
 from .graph import (
     HinGraph,
     Relation,
-    RowNormalizedAdj,
     Schema,
     SparseAdj,
     aggregated_features,
@@ -188,71 +187,31 @@ def aggregates_first(adj: SparseAdj, d_in: int, d_out: int) -> bool:
 
 
 def hetero_conv(
-    block: BlockParams,
+    w_self: GradMatrix,
+    w_rel: Mapping[str, GradMatrix],
     h_self: GradMatrix,
     h_neigh: Mapping[str, GradMatrix],
-    adj_norm: Mapping[str, RowNormalizedAdj],
+    adj: Mapping[str, SparseAdj],
     aggregated: Callable[[str], np.ndarray] | None = None,
-) -> tuple[GradMatrix, dict[str, GradMatrix]]:
-    """Project the block's own representation, and project and average each
-    neighbor type's objects through the row-normalized adjacency.
+) -> list[GradMatrix]:
+    """A block's attention candidates: its own representation projected,
+    then each neighbor type's, projected and averaged through its
+    row-normalized adjacency, in ``adj``'s order.
 
-    Each relation's product ``adj_norm[gamma] @ h_neigh[gamma] @ w_rel[gamma]``
+    Each relation's product ``adj[gamma] @ h_neigh[gamma] @ w_rel[gamma]``
     is associated in whichever order ``aggregates_first`` finds cheaper.
     Where it aggregates first, ``aggregated(gamma)``, if given, supplies
-    the constant product ``adj_norm[gamma] @ h_neigh[gamma]`` instead.
-    An adjacency not built by ``graph.row_normalize`` is an error.
+    the constant product ``adj[gamma] @ h_neigh[gamma]`` instead.
     """
-    if h_self.shape[1] != block.w_self.shape[0]:
-        raise ValueError(
-            f"self projection expects width {block.w_self.shape[0]}, "
-            f"got {h_self.shape[1]}"
-        )
-    z_self = matmul(h_self, block.w_self)
-    z_gamma: dict[str, GradMatrix] = {}
-    for gamma, w in block.w_rel.items():
-        h = h_neigh[gamma]
-        if h.shape[1] != w.shape[0]:
-            raise ValueError(
-                f"projection for relation from {gamma} expects width "
-                f"{w.shape[0]}, got {h.shape[1]}"
-            )
-        a = adj_norm[gamma]
-        if not isinstance(a, RowNormalizedAdj):
-            raise ValueError(f"adjacency for neighbor type {gamma} is not row-normalized")
+    candidates = [matmul(h_self, w_self)]
+    for gamma, a in adj.items():
+        h, w = h_neigh[gamma], w_rel[gamma]
         if aggregates_first(a, *w.shape):
             ah = constant(aggregated(gamma)) if aggregated else spmm(a, h)
-            z_gamma[gamma] = matmul(ah, w)
+            candidates.append(matmul(ah, w))
         else:
-            z_gamma[gamma] = spmm(a, matmul(h, w))
-    return z_self, z_gamma
-
-
-def type_attention(
-    block: BlockParams,
-    z_self: GradMatrix,
-    z_gamma: Mapping[str, GradMatrix],
-    neighbor_order: Sequence[str],
-    mean_variant: bool = False,
-) -> tuple[GradMatrix, np.ndarray]:
-    """Type-level aggregation of the convolved representations, one
-    ``attend`` record.
-
-    The self representation is mapped to the query, every candidate
-    (self included) to a key; logits are ELU of the joined key/query
-    vector against the attention weights, normalized row-wise by softmax.
-    With ``mean_variant`` the distribution is replaced by the uniform one
-    and the attention parameters are ignored.
-
-    Returns the new representations, the ELU of the attention-weighted
-    mix, and the per-object attention, whose
-    column 0 is the block's own (dummy self) contribution and whose other
-    columns follow ``neighbor_order``.
-    """
-    values = [z_self] + [z_gamma[g] for g in neighbor_order]
-    if mean_variant:
-        return attend(values)
-    return attend(values, block.w_k, block.w_q, block.w_a)
+            candidates.append(spmm(a, matmul(h, w)))
+    return candidates
 
 
 def forward(
@@ -261,7 +220,7 @@ def forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
-    norm_adj: Mapping[Relation, RowNormalizedAdj] | None = None,
+    norm_adj: Mapping[Relation, SparseAdj] | None = None,
     outputs: Iterable[str] | None = None,
 ) -> tuple[dict[str, GradMatrix], list[dict[str, np.ndarray]]]:
     """Run the layers; return the final representations of the ``outputs``
@@ -273,7 +232,8 @@ def forward(
     read are computed (``Schema.live_blocks``).
     ``attention_records[i][omega]`` is the attention matrix of block
     ``omega`` at the transition from layer ``i + 1`` to ``i + 2``, for
-    each block that transition computed.
+    each block that transition computed: column 0 is the block's own
+    type, the others follow ``Schema.neighbor_types(omega)``.
 
     In train mode, dropout is applied to every hidden layer's output
     (never the last layer's). Each (layer, type) draws its mask from its
@@ -283,19 +243,19 @@ def forward(
     Every pass computes in the parameters' dtype, reading the features
     through ``g.features_as``, so train-mode gradients match the
     parameters. The attention records are float64 whatever that dtype.
-    ``norm_adj`` defaults to the graph's own ``normalized_adjacency``;
-    with that one, layer 2 takes its aggregations of the constant
-    features from ``graph.aggregated_features``.
+    A block aggregates through the graph's own ``normalized_adjacency``,
+    and layer 2 takes its aggregations of the constant features from
+    ``graph.aggregated_features``. ``norm_adj`` must be None or that same
+    mapping; any other is a ValueError.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     training = mode == "train"
     if training and dropout_rate > 0 and rng is None:
         raise ValueError("train-mode dropout needs an rng stream")
-    # the cached aggregations belong to the graph's own adjacency only
-    own = norm_adj is None or norm_adj is g._normalized_adjacency
-    if norm_adj is None:
-        norm_adj = normalized_adjacency(g)
+    adjacency = normalized_adjacency(g)
+    if norm_adj is not None and norm_adj is not adjacency:
+        raise ValueError("norm_adj must be None or normalized_adjacency(g) of the same graph")
     if outputs is None:
         outputs = g.labels if training and g.labels else g.schema.object_types
     live = g.schema.live_blocks(outputs, params.n_layers - 1)
@@ -317,22 +277,16 @@ def forward(
         new_h: dict[str, GradMatrix] = {}
         layer_att: dict[str, np.ndarray] = {}
         for omega in layer_live:
-            neighbors = g.schema.neighbor_types(omega)
+            block = blocks[omega]
+            adj = {gm: adjacency[(gm, omega)] for gm in g.schema.neighbor_types(omega)}
             # layer 2 reads the constant features, whose aggregations the graph keeps
             aggregated = None
-            if n == 2 and own:
+            if n == 2:
                 aggregated = lambda gm, omega=omega: aggregated_features(g, (gm, omega), dtype)
+            maps = () if params.mean_variant else (block.w_k, block.w_q, block.w_a)
             try:
-                z_self, z_gamma = hetero_conv(
-                    blocks[omega],
-                    h[omega],
-                    h,
-                    {gm: norm_adj[(gm, omega)] for gm in neighbors},
-                    aggregated,
-                )
-                out, layer_att[omega] = type_attention(
-                    blocks[omega], z_self, z_gamma, neighbors, params.mean_variant
-                )
+                candidates = hetero_conv(block.w_self, block.w_rel, h[omega], h, adj, aggregated)
+                out, layer_att[omega] = attend(candidates, *maps)
             except ValueError as err:
                 raise ValueError(f"layer {n} block {omega}: {err}") from err
             if drop_root is not None and n < n_layers:
@@ -388,19 +342,14 @@ def _spectral_equivalence(
 
     # model route: per-relation projection + object-level aggregation
     def conv(h_tgt, h_src, adj):
-        z_self, z_gamma = hetero_conv(
-            BlockParams(
-                w_self=constant(theta0[: h_tgt.shape[1]]),
-                w_rel={"src": constant(theta1[: h_src.shape[1]])},
-                w_q=constant(np.zeros((1, 1))),
-                w_k=constant(np.zeros((1, 1))),
-                w_a=constant(np.zeros((1, 1))),
-            ),
+        z_self, z_src = hetero_conv(
+            constant(theta0[: h_tgt.shape[1]]),
+            {"src": constant(theta1[: h_src.shape[1]])},
             constant(h_tgt),
             {"src": constant(h_src)},
             {"src": row_normalize(adj)},
         )
-        return z_self.value + z_gamma["src"].value
+        return z_self.value + z_src.value
 
     out_omega = conv(h_omega, h_gamma, adj_omega_gamma)
     out_gamma = conv(h_gamma, h_omega, adj_gamma_omega)

@@ -52,6 +52,10 @@ class TrainConfig:
             raise ValueError("layer_widths must be positive")
 
 
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates per named parameter."""
@@ -59,9 +63,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(named: Mapping[str, GradMatrix]) -> "AdamState":
@@ -91,18 +92,18 @@ def adam_step(
         g = p.grad if p.grad is not None else np.zeros_like(p.value)
         if l2_weight:
             g = g + l2_weight * p.value
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
+        state.m[name] = BETA1 * state.m[name] + (1 - BETA1) * g
         # v_hat is at least v, so a finite v_hat means a finite v, hence a
         # finite g and m; on step 1 v_hat is 1000 v and can overflow alone
         with np.errstate(over="ignore"):
-            state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-            v_hat = state.v[name] / (1 - state.beta2**t)
+            state.v[name] = BETA2 * state.v[name] + (1 - BETA2) * g * g
+            v_hat = state.v[name] / (1 - BETA2**t)
         if not np.isfinite(v_hat).all():
             raise FloatingPointError(
                 f"epoch {t}: parameter {name}: non-finite gradient or moment"
             )
-        m_hat = state.m[name] / (1 - state.beta1**t)
-        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m_hat = state.m[name] / (1 - BETA1**t)
+        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def cross_entropy_loss(

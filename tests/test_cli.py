@@ -99,6 +99,31 @@ class TestUsageErrors:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["benchmark", "--scales", "2"], "--scales"),
+            (["benchmark", "--repeats", "1"], "--repeats"),
+            (["gradcheck", "--data", "d", "--h", "0"], "--h"),
+            (["gradcheck", "--data", "d", "--tol", "-1"], "--tol"),
+            (["gradcheck", "--data", "d", "--max-objects", "-3"], "--max-objects"),
+            (["gradcheck", "--data", "d", "--max-features", "0"], "--max-features"),
+            (["verify", "--data", "d", "--max-objects", "0"], "--max-objects"),
+            (["verify", "--data", "d", "--max-features", "0"], "--max-features"),
+            (["generate", "--spec", "s", "--out", "o", "--train-fraction", "150"],
+             "--train-fraction"),
+            (["explain", "--target", "A", "--top-k", "-2"], "--top-k"),
+            (["explain", "--target", "A", "--per-object", "--max-tracked", "0"],
+             "--max-tracked"),
+            (["explain", "--target", "A", "--max-tracked", "-1"], "--max-tracked"),
+        ],
+    )
+    def test_bad_numeric_option_exits_one(self, capsys, args, option):
+        assert cli.main(args) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected" in err
+        assert f"'{args[-1]}'" in err
+
     def test_bad_thread_count_exits_one(self, data_dir):
         proc = run_cli(["verify", "--data", str(data_dir)], HETCONV_THREADS="x")
         assert proc.returncode == cli.EXIT_USAGE

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from hetconv import rng as rng_mod
-from hetconv.autodiff import GradMatrix, Tape, constant, matmul, spmm
+from hetconv.autodiff import GradMatrix, Tape, attend, constant, matmul, spmm
 from hetconv.datagen import dblp_spec, generate, with_splits
 from hetconv.graph import HinGraph, Schema, SparseAdj, normalized_adjacency, row_normalize
 from hetconv.model import (
-    BlockParams,
     aggregates_first,
     forward,
     hetero_conv,
@@ -19,9 +18,14 @@ from hetconv.model import (
     schema_hash,
     spectral_equivalence_check,
     spectral_equivalence_on_graph,
-    type_attention,
 )
-from hetconv.train import TrainConfig, build_params, cross_entropy_loss, model_loss_gradcheck
+from hetconv.train import (
+    TrainConfig,
+    build_params,
+    cross_entropy_loss,
+    evaluate,
+    model_loss_gradcheck,
+)
 
 from conftest import bipartite_graph
 
@@ -80,35 +84,22 @@ def identity_adj(n):
     return row_normalize(SparseAdj.from_edges(n, n, np.arange(n), np.arange(n)))
 
 
-def conv_block(w_self, w_rel):
-    return BlockParams(
-        w_self=constant(w_self),
-        w_rel={gamma: constant(w) for gamma, w in w_rel.items()},
-        w_q=constant(np.zeros((w_self.shape[1], 2))),
-        w_k=constant(np.zeros((w_self.shape[1], 2))),
-        w_a=constant(np.zeros((4, 1))),
-    )
+def conv_weights(w_self, w_rel):
+    """``hetero_conv``'s leading ``w_self, w_rel`` arguments, as constants."""
+    return constant(w_self), {gamma: constant(w) for gamma, w in w_rel.items()}
 
 
 class TestProject:
     def test_identity_weights_pass_through(self, toy_graph):
         h = constant(toy_graph.features["B"])
-        block = conv_block(np.eye(3), {"A": np.zeros((2, 3))})
-        z_self, z_gamma = hetero_conv(
-            block, h, {"A": constant(toy_graph.features["A"])}, {"A": identity_adj(3)}
+        z_self, z_a = hetero_conv(
+            *conv_weights(np.eye(3), {"A": np.zeros((2, 3))}),
+            h,
+            {"A": constant(toy_graph.features["A"])},
+            {"A": identity_adj(3)},
         )
         assert np.array_equal(z_self.value, toy_graph.features["B"])
-        assert np.all(z_gamma["A"].value == 0.0)
-
-    def test_rel_mismatch_names_relation(self, toy_graph):
-        block = conv_block(np.eye(3), {"A": np.zeros((5, 3))})
-        with pytest.raises(ValueError, match="from A"):
-            hetero_conv(
-                block,
-                constant(toy_graph.features["B"]),
-                {"A": constant(toy_graph.features["A"])},
-                {"A": identity_adj(3)},
-            )
+        assert np.all(z_a.value == 0.0)
 
     def test_dblp_paper_block_has_four_projections(self, dblp_schema):
         params = init_params(
@@ -117,26 +108,31 @@ class TestProject:
         block = params.layers[0]["P"]
         assert set(block.w_rel) == {"C", "A", "T"}
         h = {t: constant(np.random.default_rng(0).normal(size=(5, 4))) for t in dblp_schema.object_types}
-        z_self, z_gamma = hetero_conv(block, h["P"], h, {g: identity_adj(5) for g in block.w_rel})
-        assert z_self.shape == (5, 3)
-        assert sorted(z_gamma) == ["A", "C", "T"]
+        order = dblp_schema.neighbor_types("P")
+        candidates = hetero_conv(
+            block.w_self, block.w_rel, h["P"], h, {g: identity_adj(5) for g in order}
+        )
+        assert [z.shape for z in candidates] == [(5, 3)] * 4
+        # the candidates follow the adjacency's order, the attention column order
+        for gamma, z in zip(order, candidates[1:]):
+            assert np.array_equal(z.value, h[gamma].value @ block.w_rel[gamma].value)
 
 
 class TestHeteroConv:
     def test_single_neighbor_copies_projection(self):
         a_hat = row_normalize(SparseAdj.from_edges(2, 3, [0, 1], [2, 0], [1.0, 1.0]))
         y = constant(np.arange(6.0).reshape(3, 2))
-        block = conv_block(np.eye(2), {"X": np.eye(2)})
-        z_self, z = hetero_conv(block, constant(np.zeros((2, 2))), {"X": y}, {"X": a_hat})
-        assert np.array_equal(z["X"].value[0], y.value[2])
-        assert np.array_equal(z["X"].value[1], y.value[0])
+        weights = conv_weights(np.eye(2), {"X": np.eye(2)})
+        _, z = hetero_conv(*weights, constant(np.zeros((2, 2))), {"X": y}, {"X": a_hat})
+        assert np.array_equal(z.value[0], y.value[2])
+        assert np.array_equal(z.value[1], y.value[0])
 
     def test_two_equal_neighbors_average(self):
         a_hat = row_normalize(SparseAdj.from_edges(1, 2, [0, 0], [0, 1], [1.0, 1.0]))
         y = constant(np.array([[2.0], [4.0]]))
-        block = conv_block(np.eye(1), {"X": np.eye(1)})
-        _, z = hetero_conv(block, constant(np.zeros((1, 1))), {"X": y}, {"X": a_hat})
-        assert z["X"].value[0, 0] == pytest.approx(3.0)
+        weights = conv_weights(np.eye(1), {"X": np.eye(1)})
+        _, z = hetero_conv(*weights, constant(np.zeros((1, 1))), {"X": y}, {"X": a_hat})
+        assert z.value[0, 0] == pytest.approx(3.0)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(0)
@@ -145,15 +141,9 @@ class TestHeteroConv:
         a_hat = row_normalize(SparseAdj.from_edges(4, 4, rows, cols, dense[rows, cols]))
         y = rng.normal(size=(4, 3))
         w = rng.normal(size=(3, 2))
-        block = conv_block(np.eye(3, 2), {"X": w})
-        _, z = hetero_conv(block, constant(np.zeros((4, 3))), {"X": constant(y)}, {"X": a_hat})
-        assert np.abs(z["X"].value - a_hat.to_dense() @ y @ w).max() < 1e-12
-
-    def test_unnormalized_adjacency_rejected(self):
-        raw = SparseAdj.from_edges(1, 2, [0, 0], [0, 1], [1.0, 3.0])
-        block = conv_block(np.eye(1), {"X": np.eye(1)})
-        with pytest.raises(ValueError, match="row-normalized"):
-            hetero_conv(block, constant(np.zeros((1, 1))), {"X": constant(np.zeros((2, 1)))}, {"X": raw})
+        weights = conv_weights(np.eye(3, 2), {"X": w})
+        _, z = hetero_conv(*weights, constant(np.zeros((4, 3))), {"X": constant(y)}, {"X": a_hat})
+        assert np.abs(z.value - a_hat.to_dense() @ y @ w).max() < 1e-12
 
 
 class TestAggregationOrder:
@@ -181,55 +171,52 @@ class TestAggregationOrder:
             block = params.layers[0][omega]
             a, w = norm[(gamma, omega)], block.w_rel[gamma]
             picked.add(aggregates_first(a, *w.shape))
-            _, z = hetero_conv(block, h[omega], h, {gamma: a})
+            _, z = hetero_conv(block.w_self, block.w_rel, h[omega], h, {gamma: a})
             project_first = spmm(a, matmul(h[gamma], w)).value
             aggregate_first = matmul(spmm(a, h[gamma]), w).value
             assert np.abs(project_first - aggregate_first).max() < 1e-12
-            assert np.abs(z[gamma].value - project_first).max() < 1e-12
+            assert np.abs(z.value - project_first).max() < 1e-12
         assert picked == {True, False}
         report = model_loss_gradcheck(graph, TrainConfig(layer_widths=(3, 2), d_a=2, seed=1))
         assert report.passed, f"max rel err {report.max_rel_err:.2e}"
 
 
 class TestTypeAttention:
-    def _block(self, d, d_a, seed=0, zero_wa=False):
+    """A block's type-level step: ``attend`` over its candidates, self first."""
+
+    def _maps(self, d, d_a, seed=0, zero_wa=False):
+        """The key map, query map and attention vector of a block."""
         rng = np.random.default_rng(seed)
-        return BlockParams(
-            w_self=constant(rng.normal(size=(d, d))),
-            w_rel={},
-            w_q=constant(rng.normal(size=(d, d_a))),
-            w_k=constant(rng.normal(size=(d, d_a))),
-            w_a=constant(np.zeros((2 * d_a, 1)) if zero_wa else rng.normal(size=(2 * d_a, 1))),
+        return (
+            constant(rng.normal(size=(d, d_a))),
+            constant(rng.normal(size=(d, d_a))),
+            constant(np.zeros((2 * d_a, 1)) if zero_wa else rng.normal(size=(2 * d_a, 1))),
         )
 
     def test_no_neighbors_attention_all_ones(self):
         z = constant(np.random.default_rng(0).normal(size=(4, 3)))
-        h_new, att = type_attention(self._block(3, 2), z, {}, [])
+        h_new, att = attend([z], *self._maps(3, 2))
         assert np.all(att == 1.0)
         assert np.allclose(h_new.value, _elu(z.value))
 
     def test_zero_wa_gives_uniform(self):
         rng = np.random.default_rng(1)
-        z_self = constant(rng.normal(size=(5, 3)))
-        z_g = {"X": constant(rng.normal(size=(5, 3))), "Y": constant(rng.normal(size=(5, 3)))}
-        _, att = type_attention(self._block(3, 2, zero_wa=True), z_self, z_g, ["X", "Y"])
+        values = [constant(rng.normal(size=(5, 3))) for _ in range(3)]
+        _, att = attend(values, *self._maps(3, 2, zero_wa=True))
         assert np.allclose(att, 1.0 / 3)
 
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(2)
-        z_self = constant(rng.normal(size=(6, 3)))
-        z_g = {"X": constant(rng.normal(size=(6, 3)))}
-        _, att = type_attention(self._block(3, 2, seed=3), z_self, z_g, ["X"])
+        values = [constant(rng.normal(size=(6, 3))) for _ in range(2)]
+        _, att = attend(values, *self._maps(3, 2, seed=3))
         assert np.abs(att.sum(axis=1) - 1.0).max() < 1e-9
         assert att.min() >= 0.0
 
     def test_mean_variant_matches_frozen_attention(self):
         rng = np.random.default_rng(4)
-        z_self = constant(rng.normal(size=(5, 3)))
-        z_g = {"X": constant(rng.normal(size=(5, 3))), "Y": constant(rng.normal(size=(5, 3)))}
-        block = self._block(3, 2, seed=5, zero_wa=True)
-        attn, _ = type_attention(block, z_self, z_g, ["X", "Y"], mean_variant=False)
-        mean, _ = type_attention(block, z_self, z_g, ["X", "Y"], mean_variant=True)
+        values = [constant(rng.normal(size=(5, 3))) for _ in range(3)]
+        attn, _ = attend(values, *self._maps(3, 2, seed=5, zero_wa=True))
+        mean, _ = attend(values)
         assert np.abs(attn.value - mean.value).max() < 1e-10
 
     def test_block_forward_tape_records(self, dblp_schema):
@@ -243,8 +230,10 @@ class TestTypeAttention:
         rng = np.random.default_rng(0)
         h = {t: GradMatrix(rng.normal(size=(5, 4)), tape) for t in dblp_schema.object_types}
         order = dblp_schema.neighbor_types("P")
-        z_self, z_gamma = hetero_conv(block, h["P"], h, {g: identity_adj(5) for g in order})
-        type_attention(block, z_self, z_gamma, order)
+        candidates = hetero_conv(
+            block.w_self, block.w_rel, h["P"], h, {g: identity_adj(5) for g in order}
+        )
+        attend(candidates, block.w_k, block.w_q, block.w_a)
         assert len(tape._records) == 8
 
 
@@ -317,10 +306,16 @@ class TestForward:
         assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
     def test_dim_error_names_layer_and_block(self, toy_graph):
-        params = toy_params(toy_graph)
-        params.layers[0]["A"].w_self = constant(np.zeros((7, 3)))
-        with pytest.raises(ValueError, match="layer 2 block A"):
-            forward(params, toy_graph)
+        # a wrong-width self projection, then a wrong-width relation projection
+        for key in ("self", "rel"):
+            params = toy_params(toy_graph)
+            block = params.layers[0]["A"]
+            if key == "self":
+                block.w_self = constant(np.zeros((7, 3)))
+            else:
+                block.w_rel = {gamma: constant(np.zeros((5, 3))) for gamma in block.w_rel}
+            with pytest.raises(ValueError, match="layer 2 block A: matmul shape mismatch"):
+                forward(params, toy_graph)
 
     def test_train_mode_needs_rng_for_dropout(self, toy_graph):
         params = toy_params(toy_graph)
@@ -487,9 +482,8 @@ class TestCachedAggregation:
         assert all(g._aggregated_features[k] is v for k, v in cached.items())
         assert len(g._aggregated_features) == len(cached)
 
-    def test_foreign_adjacency_bypasses_the_cache(self):
+    def test_foreign_adjacency_is_rejected(self):
         g, params = dblp_case()
-        self._aggregating_first(g, params)
         # the same pattern with other weights
         other = dataclass_replace(
             g,
@@ -499,16 +493,12 @@ class TestCachedAggregation:
                 for rel, a in g.adjacency.items()
             },
         )
-        forward(params, g)  # fill g's cache
-        foreign, _ = forward(params, g, norm_adj=normalized_adjacency(other))
-        want, _ = forward(params, other)
-        own, _ = forward(params, g)
-        for t in want:
-            assert foreign[t].value.tobytes() == want[t].value.tobytes()
-            assert not np.array_equal(foreign[t].value, own[t].value)
-        fresh = dataclass_replace(g)
-        forward(params, fresh, norm_adj=normalized_adjacency(other))
-        assert not fresh._aggregated_features
+        for foreign in (normalized_adjacency(other), dict(normalized_adjacency(g))):
+            with pytest.raises(ValueError, match="norm_adj"):
+                forward(params, g, norm_adj=foreign)
+            with pytest.raises(ValueError, match="norm_adj"):
+                evaluate(params, g, "val", norm_adj=foreign)
+        assert not g._aggregated_features
 
 
 class TestSpectralEquivalence:
