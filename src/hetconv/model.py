@@ -201,16 +201,20 @@ def hetero_conv(
     Each relation's product ``adj[gamma] @ h_neigh[gamma] @ w_rel[gamma]``
     is associated in whichever order ``aggregates_first`` finds cheaper.
     Where it aggregates first, ``aggregated(gamma)``, if given, supplies
-    the constant product ``adj[gamma] @ h_neigh[gamma]`` instead.
+    the constant product ``adj[gamma] @ h_neigh[gamma]`` instead. A shape
+    error in a relation's product names its neighbor type.
     """
     candidates = [matmul(h_self, w_self)]
     for gamma, a in adj.items():
         h, w = h_neigh[gamma], w_rel[gamma]
-        if aggregates_first(a, *w.shape):
-            ah = constant(aggregated(gamma)) if aggregated else spmm(a, h)
-            candidates.append(matmul(ah, w))
-        else:
-            candidates.append(spmm(a, matmul(h, w)))
+        try:
+            if aggregates_first(a, *w.shape):
+                ah = constant(aggregated(gamma)) if aggregated else spmm(a, h)
+                candidates.append(matmul(ah, w))
+            else:
+                candidates.append(spmm(a, matmul(h, w)))
+        except ValueError as err:
+            raise ValueError(f"from {gamma}: {err}") from err
     return candidates
 
 

@@ -101,6 +101,15 @@ class TestProject:
         assert np.array_equal(z_self.value, toy_graph.features["B"])
         assert np.all(z_a.value == 0.0)
 
+    def test_rel_mismatch_names_relation(self, toy_graph):
+        with pytest.raises(ValueError, match="from A: matmul shape mismatch"):
+            hetero_conv(
+                *conv_weights(np.eye(3), {"A": np.zeros((5, 3))}),
+                constant(toy_graph.features["B"]),
+                {"A": constant(toy_graph.features["A"])},
+                {"A": identity_adj(3)},
+            )
+
     def test_dblp_paper_block_has_four_projections(self, dblp_schema):
         params = init_params(
             dblp_schema, {t: 4 for t in dblp_schema.object_types}, [3], d_a=2, seed=0
@@ -307,14 +316,14 @@ class TestForward:
 
     def test_dim_error_names_layer_and_block(self, toy_graph):
         # a wrong-width self projection, then a wrong-width relation projection
-        for key in ("self", "rel"):
+        for key, named in (("self", ""), ("rel", "from B: ")):
             params = toy_params(toy_graph)
             block = params.layers[0]["A"]
             if key == "self":
                 block.w_self = constant(np.zeros((7, 3)))
             else:
                 block.w_rel = {gamma: constant(np.zeros((5, 3))) for gamma in block.w_rel}
-            with pytest.raises(ValueError, match="layer 2 block A: matmul shape mismatch"):
+            with pytest.raises(ValueError, match=f"layer 2 block A: {named}matmul shape mismatch"):
                 forward(params, toy_graph)
 
     def test_train_mode_needs_rng_for_dropout(self, toy_graph):
