@@ -256,18 +256,21 @@ def cmd_evaluate(args) -> int:
 
 def cmd_explain(args) -> int:
     from .interpret import (
-        per_object_scores,
+        per_object_json,
+        per_object_masses,
         report_to_json,
         report_to_tsv,
         score_meta_paths,
         summarize_attention,
         summary_from_json,
     )
-    from .io import atomic_write_text, write_json
+    from .io import atomic_write_text, write_json, write_json_rows
     from .model import forward
 
-    records = None
-    g = None
+    if args.per_object and (args.summary or not (args.model and args.data)):
+        raise UsageError("--per-object needs --model and --data")
+    if args.per_object and not args.out:
+        raise UsageError("--per-object needs --out: only the global ranking is printed")
     if args.summary:
         try:
             with open(args.summary) as f:
@@ -283,7 +286,7 @@ def cmd_explain(args) -> int:
         raise UsageError("explain needs either --summary or both --model and --data")
     if args.target not in schema.object_types:
         raise UsageError(f"unknown target type: {args.target!r}")
-    if g is not None:
+    if not args.summary:
         # both reports read only the blocks the target's representation reads
         _, records = forward(params, g, mode="eval", outputs=[args.target])
         summary = summarize_attention(records, schema)
@@ -292,17 +295,15 @@ def cmd_explain(args) -> int:
         ranked = ranked[: args.top_k]
     report = {"target": args.target, "global": report_to_json(ranked)}
     if args.per_object:
-        if records is None or g is None:
-            raise UsageError("--per-object needs --model and --data")
-        per_obj = per_object_scores(g, records, args.target, args.max_tracked)
-        report["per_object"] = [
-            sorted(
-                ({"meta_path": list(p), "score": s} for p, s in scores.items()),
-                key=lambda e: -e["score"],
-            )[: args.top_k or None]
-            for scores in per_obj
-        ]
-    if args.out:
+        prefixes, masses = per_object_masses(g, records, args.target, args.max_tracked)
+        try:
+            write_json_rows(
+                args.out, report, "per_object", per_object_json(prefixes, masses, args.top_k)
+            )
+        except FloatingPointError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_NUMERIC
+    elif args.out:
         write_json(args.out, report)
     if args.tsv:
         atomic_write_text(args.tsv, report_to_tsv(ranked))
@@ -319,6 +320,11 @@ def cmd_generate(args) -> int:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(str(err)) from err
+    if not isinstance(raw, dict):
+        raise UsageError(
+            f"bad generator spec: {args.spec}: expected a JSON object, "
+            f"got {type(raw).__name__}"
+        )
     if args.seed is not None:
         raw["seed"] = args.seed
     try:
@@ -470,7 +476,9 @@ def build_parser() -> _Parser:
     x.add_argument("--data", default=None)
     x.add_argument("--summary", default=None, help="attention summary JSON instead of a model")
     x.add_argument("--target", required=True)
-    x.add_argument("--per-object", action="store_true", dest="per_object")
+    x.add_argument("--per-object", action="store_true", dest="per_object",
+                   help="also rank each target object's meta-paths into --out; "
+                   "needs --model and --data")
     x.add_argument("--top-k", type=_non_negative_int, default=0, dest="top_k")
     x.add_argument("--max-tracked", type=_positive_int, default=256, dest="max_tracked")
     x.add_argument("--out", default=None)

@@ -15,9 +15,10 @@ and a real self-relation of the schema, which is kept as an explicit hop.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -187,13 +188,17 @@ def score_meta_paths(
     return results
 
 
-def per_object_scores(
+def per_object_masses(
     g: HinGraph,
     records: Sequence[Mapping[str, np.ndarray]],
     target: str,
     max_tracked: int = 256,
-) -> list[dict[tuple[str, ...], float]]:
-    """Exact per-object meta-path scores by forward dynamic programming.
+) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """Exact per-object meta-path masses by forward dynamic programming.
+
+    Returns the target's tracked prefixes (meta-paths) and an
+    ``n_paths x n_objects`` float64 array whose row ``p`` is prefix ``p``'s
+    mass over the target's objects.
 
     For every type we keep, per meta-path prefix, a mass vector over that
     type's objects. A dummy-self step multiplies by the object's own self
@@ -207,7 +212,8 @@ def per_object_scores(
     When such a type tracks more than ``max_tracked`` prefixes, the
     lowest-mass prefixes are dropped with a warning stating how many were
     dropped and their total mass; both count only prefixes that can reach
-    the target.
+    the target, and the kept ones follow in descending total mass, ties
+    in prefix order.
     """
     if target not in g.schema.object_types:
         raise KeyError(f"unknown object type: {target!r}")
@@ -252,12 +258,61 @@ def per_object_scores(
             RuntimeWarning,
             stacklevel=2,
         )
-    n = g.n_objects(target)
-    out: list[dict[tuple[str, ...], float]] = [{} for _ in range(n)]
-    for prefix, mass in scores[target].items():
+    tracked = scores[target]
+    masses = np.array(list(tracked.values())).reshape(len(tracked), g.n_objects(target))
+    return list(tracked), masses
+
+
+def per_object_scores(
+    g: HinGraph,
+    records: Sequence[Mapping[str, np.ndarray]],
+    target: str,
+    max_tracked: int = 256,
+) -> list[dict[tuple[str, ...], float]]:
+    """``per_object_masses`` as one dict per target object, mapping each
+    meta-path with nonzero mass to that mass, in prefix order."""
+    prefixes, masses = per_object_masses(g, records, target, max_tracked)
+    out: list[dict[tuple[str, ...], float]] = [{} for _ in range(masses.shape[1])]
+    for prefix, mass in zip(prefixes, masses):
         for i in np.nonzero(mass)[0]:
             out[i][prefix] = float(mass[i])
     return out
+
+
+def per_object_json(
+    prefixes: Sequence[tuple[str, ...]], masses: np.ndarray, top_k: int = 0
+) -> Iterator[str]:
+    """Each object's ranked meta-paths as compact JSON text, one object
+    (column of ``masses``) at a time.
+
+    An object's list is ``[{"meta_path": [...], "score": mass}, ...]``
+    over its nonzero masses in descending order, ties in prefix order,
+    cut to the first ``top_k`` (all when 0): the bytes ``json.dumps`` with
+    compact separators writes for that list. Each path's JSON is encoded
+    once; a score is written as ``repr(float)``, as ``json`` writes a
+    finite float, so non-finite masses are a FloatingPointError.
+    """
+    if not np.isfinite(masses).all():
+        raise FloatingPointError("non-finite per-object meta-path mass")
+    heads = [
+        '{"meta_path":' + json.dumps(list(p), separators=(",", ":")) + ',"score":'
+        for p in prefixes
+    ]
+    # a stable sort keeps equal masses in prefix order, as sorted() does
+    order = np.argsort(-masses, axis=0, kind="stable")
+    ranked = np.take_along_axis(masses, order, axis=0)
+    keep = ranked != 0
+    if top_k:
+        keep &= np.cumsum(keep, axis=0) <= top_k
+    # object-major: each object's kept entries, best first
+    paths = order.T[keep.T].tolist()
+    scores = ranked.T[keep.T].tolist()
+    start = 0
+    for end in np.cumsum(keep.sum(axis=0)).tolist():
+        yield "[" + ",".join(
+            [heads[p] + repr(s) + "}" for p, s in zip(paths[start:end], scores[start:end])]
+        ) + "]"
+        start = end
 
 
 def summary_to_json(summary: AttentionSummary) -> dict:

@@ -16,6 +16,7 @@ behind.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import lzma
 import os
@@ -84,6 +85,21 @@ def atomic_write_text(path: Path | str, text: str) -> None:
 def write_json(path: Path | str, obj) -> None:
     """Compact, single-line JSON: without ``indent`` CPython encodes in C."""
     atomic_write_text(path, json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+def write_json_rows(path: Path | str, obj: dict, key: str, rows) -> None:
+    """``write_json(path, {**obj, key: [...]})`` where the list's elements
+    come from ``rows`` as compact JSON text, one write per block of
+    ``_BLOCK_ROWS`` of them."""
+    head = json.dumps(obj, separators=(",", ":"))[:-1] + ("," if obj else "")
+    rows = iter(rows)
+    with _atomic_open(path) as f:
+        f.write(head + json.dumps(key) + ":[")
+        sep = ""
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            f.write(sep + ",".join(block))
+            sep = ","
+        f.write("]}\n")
 
 
 def _write_rows(f, fmt: str, n: int, rows) -> None:

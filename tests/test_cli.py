@@ -124,6 +124,21 @@ class TestUsageErrors:
         assert f"argument {option}: expected" in err
         assert f"'{args[-1]}'" in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # the files named do not exist: the check comes before any load
+            (["--model", "m", "--data", "d", "--per-object"], "--per-object needs --out"),
+            (["--summary", "s", "--per-object", "--out", "o"],
+             "--per-object needs --model and --data"),
+            (["--summary", "s", "--model", "m", "--data", "d", "--per-object", "--out", "o"],
+             "--per-object needs --model and --data"),
+        ],
+    )
+    def test_per_object_conflicts_exit_one(self, capsys, args, message):
+        assert cli.main(["explain", "--target", "A", *args]) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_bad_thread_count_exits_one(self, data_dir):
         proc = run_cli(["verify", "--data", str(data_dir)], HETCONV_THREADS="x")
         assert proc.returncode == cli.EXIT_USAGE
@@ -296,6 +311,20 @@ class TestGenerate:
         assert code == cli.EXIT_USAGE
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, seed, kind",
+        [([{"counts": {"A": 5}}], ["--seed", "3"], "list"), ("x", [], "str")],
+    )
+    def test_spec_not_an_object_exits_usage(self, tmp_path, capsys, body, seed, kind):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(body))
+        code = cli.main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o"), *seed])
+        assert code == cli.EXIT_USAGE
+        assert (
+            f"bad generator spec: {spec}: expected a JSON object, got {kind}"
+            in capsys.readouterr().err
+        )
+
 
 class TestTrain:
     def test_produces_all_artifacts(self, run_dir):
@@ -430,7 +459,56 @@ class TestExplain:
         full = tmp_path / "full.json"
         assert quiet_main(args + [str(full)]) == 0
         assert requested == [["A"]]
-        assert json.loads(target_only.read_text()) == json.loads(full.read_text())
+        assert target_only.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("top_k", [0, 3])
+    def test_per_object_report_bytes_match_the_dict_oracle(
+        self, data_dir, run_dir, tmp_path, top_k
+    ):
+        from hetconv.interpret import per_object_scores
+        from hetconv.io import write_json
+        from hetconv.model import forward, load_model
+
+        out = tmp_path / "report.json"
+        assert quiet_main(
+            ["explain", "--model", str(run_dir / "model"), "--data", str(data_dir),
+             "--target", "A", "--per-object", "--top-k", str(top_k), "--out", str(out)]
+        ) == 0
+        g = load_graph(data_dir)
+        params, _ = load_model(run_dir / "model")
+        _, records = forward(params, g, mode="eval", outputs=["A"])
+        report = json.loads(out.read_text())
+        report["per_object"] = [
+            sorted(
+                ({"meta_path": list(p), "score": s} for p, s in scores.items()),
+                key=lambda e: -e["score"],
+            )[: top_k or None]
+            for scores in per_object_scores(g, records, "A")
+        ]
+        write_json(tmp_path / "oracle.json", report)
+        assert out.read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+    def test_non_finite_per_object_mass_exits_numeric(
+        self, data_dir, run_dir, tmp_path, monkeypatch, capsys
+    ):
+        from hetconv import interpret
+
+        masses_of = interpret.per_object_masses
+
+        def poisoned(*args):
+            prefixes, masses = masses_of(*args)
+            masses[0, 0] = np.inf
+            return prefixes, masses
+
+        monkeypatch.setattr(interpret, "per_object_masses", poisoned)
+        out = tmp_path / "report.json"
+        code = cli.main(
+            ["explain", "--model", str(run_dir / "model"), "--data", str(data_dir),
+             "--target", "A", "--per-object", "--out", str(out)]
+        )
+        assert code == cli.EXIT_NUMERIC
+        assert "non-finite per-object meta-path mass" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_tsv_report(self, tmp_path, dblp_schema):
         summary_path = tmp_path / "summary.json"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from hetconv.interpret import (
     AttentionSummary,
     ChoiceSequence,
     enumerate_choice_sequences,
+    per_object_json,
+    per_object_masses,
     per_object_scores,
     score_meta_paths,
     summarize_attention,
@@ -69,6 +73,21 @@ def brute_force_object_scores(g, records, target):
                          mass * coeff * a_hat[obj, src], hops + (block,))
                     )
     return out
+
+
+def oracle_rows(prefixes, masses, top_k):
+    """Each object's per-object list as ``hetconv explain`` once built it: a
+    dict per nonzero (path, mass), sorted by descending score, cut to
+    ``top_k``, then encoded by ``json``."""
+    rows = []
+    for i in range(masses.shape[1]):
+        scores = {p: float(m[i]) for p, m in zip(prefixes, masses) if m[i] != 0}
+        entries = sorted(
+            ({"meta_path": list(p), "score": s} for p, s in scores.items()),
+            key=lambda e: -e["score"],
+        )[: top_k or None]
+        rows.append(json.dumps(entries, separators=(",", ":")))
+    return rows
 
 
 def forward_records(g, seed=0, widths=(3, 2), d_a=2):
@@ -316,3 +335,80 @@ class TestPerObjectScores:
         seq = ChoiceSequence(target="A", choices=(None, None, "P", "C"))
         assert seq.blocks() == ("A", "A", "A", "P", "C")
         assert seq.meta_path() == ("C", "P", "A")
+
+
+class TestPerObjectMasses:
+    @pytest.mark.parametrize("max_tracked", [256, 2])
+    def test_scores_are_the_dict_view_of_masses(self, max_tracked):
+        import warnings
+
+        for seed in range(6):
+            g = random_hin(seed)
+            records = forward_records(g, widths=(3, 3, 2), seed=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                prefixes, masses = per_object_masses(g, records, "A", max_tracked)
+                scores = per_object_scores(g, records, "A", max_tracked)
+            assert masses.shape == (len(prefixes), g.n_objects("A"))
+            assert len(prefixes) <= max_tracked
+            view = [
+                {p: float(m[i]) for p, m in zip(prefixes, masses) if m[i] != 0}
+                for i in range(masses.shape[1])
+            ]
+            assert scores == view
+            # the same prefix order, not only the same mapping
+            assert [list(s) for s in scores] == [list(v) for v in view]
+
+    def test_truncated_prefixes_follow_descending_total_mass(self):
+        g = random_hin(1)
+        records = forward_records(g, widths=(3, 3, 2), seed=1)
+        with pytest.warns(RuntimeWarning, match="truncated"):
+            prefixes, masses = per_object_masses(g, records, "A", max_tracked=2)
+        totals = masses.sum(axis=1)
+        assert len(prefixes) == 2
+        assert sorted(zip(-totals, prefixes)) == list(zip(-totals, prefixes))
+
+
+class TestPerObjectJson:
+    PREFIXES = [("A",), ("P", "A"), ("C", "P", "A"), ("A", "P", "A")]
+    # objects: a four-way tie, a tie below a larger mass, no mass at all,
+    # a single path, zeros between nonzero masses, and a negative mass that
+    # ranks below the zeros skipped before the top-k cut
+    MASSES = np.array(
+        [
+            [0.25, 0.5, 0.0, 0.0, 0.1, -0.1],
+            [0.25, 0.25, 0.0, 0.0, 0.0, 0.0],
+            [0.25, 0.25, 0.0, 1.0, 0.9, 0.5],
+            [0.25, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+
+    @pytest.mark.parametrize("top_k", [0, 1, 2, 10])
+    def test_matches_the_dict_oracle_byte_for_byte(self, top_k):
+        rows = list(per_object_json(self.PREFIXES, self.MASSES, top_k))
+        assert rows == oracle_rows(self.PREFIXES, self.MASSES, top_k)
+        assert rows[2] == "[]"
+        # ties keep prefix order
+        assert [e["meta_path"] for e in json.loads(rows[0])] == [
+            list(p) for p in self.PREFIXES
+        ][: top_k or None]
+
+    @pytest.mark.parametrize("max_tracked", [256, 2])
+    @pytest.mark.parametrize("top_k", [0, 1, 3, 100])
+    def test_matches_the_oracle_on_dp_output(self, max_tracked, top_k):
+        import warnings
+
+        for seed in range(4):
+            g = random_hin(seed)
+            records = forward_records(g, widths=(3, 3, 2), seed=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                prefixes, masses = per_object_masses(g, records, "A", max_tracked)
+            rows = list(per_object_json(prefixes, masses, top_k))
+            assert rows == oracle_rows(prefixes, masses, top_k)
+
+    def test_non_finite_mass_raises(self):
+        masses = self.MASSES.copy()
+        masses[1, 3] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            list(per_object_json(self.PREFIXES, masses))

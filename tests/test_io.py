@@ -15,6 +15,7 @@ from hetconv.io import (
     load_npz,
     save_graph,
     write_json,
+    write_json_rows,
 )
 
 EXTREMES = np.array([[-0.0, 5e-324, 1e300], [3.0, -2.0, 0.1], [1e16, 1e17, 2.5]])
@@ -347,6 +348,18 @@ class TestWriteJson:
         text = (tmp_path / "x.json").read_text()
         assert text == '{"a":[1,2.5,null],"b":{"c":"d"}}\n'
         assert json.loads(text) == obj
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 600])
+    @pytest.mark.parametrize("head", [{}, {"target": "A", "global": [{"score": 0.5}]}])
+    def test_rows_write_the_bytes_of_write_json(self, tmp_path, n_rows, head):
+        # 600 rows span three write blocks
+        rows = [[{"meta_path": ["P", "A"], "score": i / 7}] * (i % 3) for i in range(n_rows)]
+        write_json(tmp_path / "whole.json", {**head, "per_object": rows})
+        write_json_rows(
+            tmp_path / "rows.json", head, "per_object",
+            (json.dumps(r, separators=(",", ":")) for r in rows),
+        )
+        assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 
 class TestAtomicWrite:
