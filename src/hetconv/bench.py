@@ -136,15 +136,6 @@ class BenchReport:
             lines.append(f"FAILED: {f}")
         return "\n".join(lines) + "\n"
 
-    def to_csv(self) -> str:
-        lines = ["n_objects,n_links,size,median_seconds,mean_seconds,std_seconds"]
-        for s in self.scales:
-            lines.append(
-                f"{s.n_objects},{s.n_links},{s.size},"
-                f"{s.median_seconds},{s.mean_seconds},{s.std_seconds}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def default_scale_specs(seed: int = 0, n_scales: int = 6) -> list[GenSpec]:
     """A doubling ladder of DBLP-like graphs; at six scales the size

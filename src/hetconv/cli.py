@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: train, evaluate, explain, generate, benchmark, gradcheck,
-verify. Exit codes: 0 success, 1 usage or config error, 2 data validation
+Subcommands: train, evaluate, explain, generate, benchmark, verify.
+Exit codes: 0 success, 1 usage or config error, 2 data validation
 error, 3 numerical check failure. The env var HETCONV_THREADS pins the
 numeric kernels' internal thread count, through threadpoolctl when it is
 importable and through the loaded OpenBLAS's own setter otherwise.
@@ -113,7 +113,6 @@ def _int_at_least(lo: int):
 
 
 _positive_int, _non_negative_int = _int_at_least(1), _int_at_least(0)
-_positive_float = _checked(float, lambda v: 0 < v < float("inf"), "a positive number")
 _percentage = _checked(float, lambda v: 0 < v < 100, "a percentage in (0, 100)")
 
 
@@ -259,12 +258,11 @@ def cmd_explain(args) -> int:
         per_object_json,
         per_object_masses,
         report_to_json,
-        report_to_tsv,
         score_meta_paths,
         summarize_attention,
         summary_from_json,
     )
-    from .io import atomic_write_text, write_json, write_json_rows
+    from .io import write_json, write_json_rows
     from .model import forward
 
     if args.per_object and (args.summary or not (args.model and args.data)):
@@ -305,8 +303,6 @@ def cmd_explain(args) -> int:
             return EXIT_NUMERIC
     elif args.out:
         write_json(args.out, report)
-    if args.tsv:
-        atomic_write_text(args.tsv, report_to_tsv(ranked))
     print(json.dumps(report["global"], indent=2))
     return EXIT_OK
 
@@ -348,7 +344,7 @@ def cmd_generate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     from .bench import default_scale_specs, run_scaling
-    from .io import atomic_write_text, write_json
+    from .io import write_json
 
     cfg = _train_config(args.config, args.seed)
     report = run_scaling(
@@ -362,8 +358,6 @@ def cmd_benchmark(args) -> int:
     payload["environment"] = _environment()
     if args.out:
         write_json(args.out, payload)
-    if args.csv:
-        atomic_write_text(args.csv, report.to_csv())
     print(report.to_text())
     return EXIT_OK
 
@@ -389,28 +383,6 @@ def _downscaled(g, max_objects: int, max_features: int):
     small = induced_subgraph(g, {t: max_objects for t in g.schema.object_types})
     feats = {t: f[:, :max_features] for t, f in small.features.items()}
     return dataclasses.replace(small, features=feats)
-
-
-def cmd_gradcheck(args) -> int:
-    from .train import TrainConfig, model_loss_gradcheck
-
-    g = _load_graph(args.data)
-    small = _downscaled(g, args.max_objects, args.max_features)
-    if not any((lab >= 0).any() for lab in small.labels.values()):
-        raise DataError("gradcheck needs labeled objects in the down-scaled graph")
-    cfg = TrainConfig(layer_widths=(4, 3), d_a=3, seed=args.seed)
-    report = model_loss_gradcheck(small, cfg, h=args.h, tol=args.tol)
-    for name in sorted(report.rel_err):
-        print(f"{name}: rel_err={report.rel_err[name]:.3e} abs_err={report.abs_err[name]:.3e}")
-    print(_gradcheck_line(report))
-    return EXIT_OK if report.passed else EXIT_NUMERIC
-
-
-def _gradcheck_line(report) -> str:
-    return (
-        f"gradcheck {'PASS' if report.passed else 'FAIL'}: max rel err "
-        f"{report.max_rel_err:.3e} (tol {report.tol:g}, floor {report.floor:.3e})"
-    )
 
 
 def cmd_verify(args) -> int:
@@ -447,7 +419,13 @@ def cmd_verify(args) -> int:
         cfg = TrainConfig(layer_widths=(4, 3), d_a=3, seed=args.seed)
         report = model_loss_gradcheck(small, cfg, h=1e-5, tol=GRADCHECK_TOL)
         failed |= not report.passed
-        print(_gradcheck_line(report))
+        for name in sorted(report.rel_err):
+            rel, err = report.rel_err[name], report.abs_err[name]
+            print(f"{name}: rel_err={rel:.3e} abs_err={err:.3e}")
+        print(
+            f"gradcheck {'PASS' if report.passed else 'FAIL'}: max rel err "
+            f"{report.max_rel_err:.3e} (tol {report.tol:g}, floor {report.floor:.3e})"
+        )
     else:
         print("gradcheck SKIP: no labels in data")
     return EXIT_NUMERIC if failed else EXIT_OK
@@ -482,7 +460,6 @@ def build_parser() -> _Parser:
     x.add_argument("--top-k", type=_non_negative_int, default=0, dest="top_k")
     x.add_argument("--max-tracked", type=_positive_int, default=256, dest="max_tracked")
     x.add_argument("--out", default=None)
-    x.add_argument("--tsv", default=None)
     x.set_defaults(func=cmd_explain)
 
     gn = sub.add_parser("generate", help="write a synthetic graph directory")
@@ -494,22 +471,12 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("benchmark", help="epoch-time scaling across graph sizes")
     b.add_argument("--out", default=None)
-    b.add_argument("--csv", default=None)
     # run_scaling's minimums: five scales for the line fit, three timed repeats
     b.add_argument("--scales", type=_int_at_least(5), default=6)
     b.add_argument("--repeats", type=_int_at_least(3), default=3)
     b.add_argument("--config", default=None)
     b.add_argument("--seed", type=int, default=None)
     b.set_defaults(func=cmd_benchmark)
-
-    gc = sub.add_parser("gradcheck", help="finite-difference check on a small model")
-    gc.add_argument("--data", required=True)
-    gc.add_argument("--h", type=_positive_float, default=1e-5)
-    gc.add_argument("--tol", type=_positive_float, default=GRADCHECK_TOL)
-    gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--max-objects", type=_positive_int, default=40, dest="max_objects")
-    gc.add_argument("--max-features", type=_positive_int, default=6, dest="max_features")
-    gc.set_defaults(func=cmd_gradcheck)
 
     v = sub.add_parser("verify", help="validation, spectral equivalence, gradcheck")
     v.add_argument("--data", required=True)

@@ -2,8 +2,13 @@
 
 A graph has a schema (object types plus directed relations between them),
 one sparse adjacency matrix per relation, a dense feature matrix per type,
-and optional integer labels. All containers are immutable after
-construction and safe to share across threads.
+and optional integer labels. The containers are frozen dataclasses whose
+fields are set at construction. ``HinGraph`` and ``SparseAdj`` also fill
+caches on first use: a graph its features in another dtype
+(``_features_by_dtype``), its row-normalized adjacency
+(``_normalized_adjacency``) and its layer-2 aggregations
+(``_aggregated_features``); an adjacency its float32 and transposed CSR
+handles (``_products``). The caches take no lock.
 """
 
 from __future__ import annotations
@@ -350,7 +355,6 @@ def validate_graph(g: HinGraph) -> list[str]:
         if a is None:
             v.append(f"relation {rel}: missing adjacency")
             continue
-        v.extend(f"relation {rel}: {p}" for p in a.check())
         if src in g.features and dst in g.features:
             want = (g.n_objects(dst), g.n_objects(src))
             if (a.n_rows, a.n_cols) != want:

@@ -55,7 +55,11 @@ class AttentionSummary:
                         f"transition {i + 1}-{i + 2} block {omega}: expected "
                         f"{want} coefficients, got shape {vec.shape}"
                     )
-                if abs(vec.sum() - 1.0) > MEAN_SUM_TOL or vec.min() < 0:
+                if (
+                    not np.isfinite(vec).all()
+                    or abs(vec.sum() - 1.0) > MEAN_SUM_TOL
+                    or vec.min() < 0
+                ):
                     raise ValueError(
                         f"transition {i + 1}-{i + 2} block {omega}: mean "
                         "attention is not a probability distribution"
@@ -361,11 +365,3 @@ def report_to_json(results: Sequence[MetaPathScore]) -> list[dict]:
         for r in results
     ]
 
-
-def report_to_tsv(results: Sequence[MetaPathScore]) -> str:
-    lines = ["meta_path\tscore\tn_contributors"]
-    for r in results:
-        lines.append(
-            "-".join(r.meta_path) + f"\t{r.score:.6f}\t{len(r.contributors)}"
-        )
-    return "\n".join(lines) + "\n"

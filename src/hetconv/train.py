@@ -50,6 +50,13 @@ class TrainConfig:
             raise ValueError("patience must not exceed max_epochs")
         if not self.layer_widths or min(self.layer_widths) < 1:
             raise ValueError("layer_widths must be positive")
+        if not isinstance(self.loss_weights, (dict, type(None))):
+            raise ValueError("loss_weights must map object types to weights")
+        for t, w in (self.loss_weights or {}).items():
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < np.inf:
+                raise ValueError(
+                    f"loss_weights[{t!r}] must be a finite number >= 0, got {w!r}"
+                )
 
 
 # Adam's moment decay rates and denominator guard
@@ -314,6 +321,9 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
     if not labeled or all(len(g.splits[t]["train"]) == 0 for t in labeled):
         raise ValueError("training needs at least one labeled object with splits")
     train_idx = {t: g.splits[t]["train"] for t in labeled}
+    unused = sorted(set(cfg.loss_weights or ()) - {t for t in labeled if len(train_idx[t])})
+    if unused:
+        raise ValueError(f"loss_weights name types with no train labels: {unused}")
     # an empty val part counts as absent: early stopping then follows -loss
     val_idx = {t: g.splits[t]["val"] for t in labeled if len(g.splits[t].get("val", ()))}
     params = build_params(g, cfg)

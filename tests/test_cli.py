@@ -104,10 +104,12 @@ class TestUsageErrors:
         [
             (["benchmark", "--scales", "2"], "--scales"),
             (["benchmark", "--repeats", "1"], "--repeats"),
-            (["gradcheck", "--data", "d", "--h", "0"], "--h"),
-            (["gradcheck", "--data", "d", "--tol", "-1"], "--tol"),
-            (["gradcheck", "--data", "d", "--max-objects", "-3"], "--max-objects"),
-            (["gradcheck", "--data", "d", "--max-features", "0"], "--max-features"),
+            # text that does not parse as the option's number
+            (["explain", "--target", "A", "--top-k", "1.5"], "--top-k"),
+            (["generate", "--spec", "s", "--out", "o", "--train-fraction", "nan"],
+             "--train-fraction"),
+            (["verify", "--data", "d", "--max-objects", "x"], "--max-objects"),
+            (["verify", "--data", "d", "--max-features", "2.5"], "--max-features"),
             (["verify", "--data", "d", "--max-objects", "0"], "--max-objects"),
             (["verify", "--data", "d", "--max-features", "0"], "--max-features"),
             (["generate", "--spec", "s", "--out", "o", "--train-fraction", "150"],
@@ -123,6 +125,18 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"argument {option}: expected" in err
         assert f"'{args[-1]}'" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["gradcheck", "--data", "d"], "invalid choice: 'gradcheck'"),
+            (["explain", "--target", "A", "--tsv", "r.tsv"], "unrecognized arguments: --tsv"),
+            (["benchmark", "--csv", "b.csv"], "unrecognized arguments: --csv"),
+        ],
+    )
+    def test_removed_entry_points_exit_one(self, capsys, args, message):
+        assert cli.main(args) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args, message",
@@ -373,6 +387,28 @@ class TestTrain:
         assert code == cli.EXIT_USAGE
         assert "learning_rat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "weights, code, message",
+        [
+            ({"A": -1.0}, cli.EXIT_USAGE,
+             "bad config: loss_weights['A'] must be a finite number >= 0, got -1.0"),
+            ({"A": "x"}, cli.EXIT_USAGE,
+             "bad config: loss_weights['A'] must be a finite number >= 0, got 'x'"),
+            ({"A": float("nan")}, cli.EXIT_USAGE,
+             "bad config: loss_weights['A'] must be a finite number >= 0, got nan"),
+            # the CLI graph labels only A
+            ({"A": 1.0, "Z": 2.0}, cli.EXIT_DATA,
+             "loss_weights name types with no train labels: ['Z']"),
+        ],
+    )
+    def test_bad_loss_weights(self, data_dir, tmp_path, capsys, weights, code, message):
+        cfg = tmp_path / "weights.json"
+        cfg.write_text(json.dumps({**TRAIN_CFG, "loss_weights": weights}))
+        assert cli.main(
+            ["train", "--data", str(data_dir), "--config", str(cfg), "--out", str(tmp_path / "o")]
+        ) == code
+        assert message in capsys.readouterr().err
+
     def test_validation_failure_exits_data(self, data_dir, tmp_path, capsys):
         broken = tmp_path / "badgraph"
         shutil.copytree(data_dir, broken)
@@ -510,15 +546,14 @@ class TestExplain:
         assert "non-finite per-object meta-path mass" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_tsv_report(self, tmp_path, dblp_schema):
+    def test_non_finite_summary_exits_data(self, tmp_path, dblp_schema, capsys):
+        raw = summary_to_json(dblp_reference_summary(dblp_schema))
+        raw["transitions"][0]["blocks"]["A"] = {"self": np.nan, "neighbors": {"P": np.nan}}
         summary_path = tmp_path / "summary.json"
-        summary_path.write_text(json.dumps(summary_to_json(dblp_reference_summary(dblp_schema))))
-        tsv = tmp_path / "report.tsv"
-        code = cli.main(
-            ["explain", "--summary", str(summary_path), "--target", "A", "--tsv", str(tsv)]
-        )
-        assert code == 0
-        assert tsv.read_text().splitlines()[0] == "meta_path\tscore\tn_contributors"
+        summary_path.write_text(json.dumps(raw))
+        code = cli.main(["explain", "--summary", str(summary_path), "--target", "A"])
+        assert code == cli.EXIT_DATA
+        assert "bad summary file: transition 1-2 block A: " in capsys.readouterr().err
 
     def test_unknown_target_nonzero(self, tmp_path, dblp_schema, capsys):
         summary_path = tmp_path / "summary.json"
@@ -538,7 +573,11 @@ class TestVerify:
         assert code == 0
         assert "validate_graph PASS" in out
         assert "spectral_equivalence" in out and "FAIL" not in out
-        assert "gradcheck PASS" in out
+        lines = out.splitlines()
+        per_param = [line for line in lines if ": rel_err=" in line and " abs_err=" in line]
+        # one line per parameter, then the summary line
+        assert per_param and lines[-1 - len(per_param):-1] == per_param
+        assert lines[-1].startswith("gradcheck PASS")
 
     def test_spectral_tolerance_scales_with_output(self, huge_dir, capsys):
         cli.main(["verify", "--data", str(huge_dir), "--max-objects", "8"])
@@ -565,15 +604,6 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestGradcheckCommand:
-    def test_passes_on_clean_data(self, data_dir, capsys):
-        code = cli.main(["gradcheck", "--data", str(data_dir), "--max-objects", "20"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "gradcheck PASS" in out
-        assert "rel_err" in out
-
-
 class TestBenchmarkCommand:
     def test_writes_report(self, tmp_path, monkeypatch, capsys):
         import hetconv.bench as bench_mod
@@ -594,13 +624,12 @@ class TestBenchmarkCommand:
         cfg.write_text(json.dumps({"layer_widths": [6, 2], "d_a": 3}))
         code = cli.main(
             ["benchmark", "--out", str(out), "--scales", "5", "--repeats", "3",
-             "--config", str(cfg), "--csv", str(tmp_path / "bench.csv")]
+             "--config", str(cfg)]
         )
         assert code == 0
         report = json.loads(out.read_text())
         assert len(report["scales"]) == 5
         assert "linear fit" in capsys.readouterr().out
-        assert (tmp_path / "bench.csv").exists()
 
 
     def test_records_the_pinned_thread_count(self, tmp_path):

@@ -122,6 +122,12 @@ class TestSummarizeAttention:
         with pytest.raises(ValueError, match="probability"):
             AttentionSummary(dblp_schema, ({"C": np.array([0.9, 0.9])},))
 
+    @pytest.mark.parametrize("vec", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_non_finite_mean_rejected(self, dblp_schema, vec):
+        # NaN passes both the sum and the sign comparison
+        with pytest.raises(ValueError, match="transition 1-2 block C: mean attention"):
+            AttentionSummary(dblp_schema, ({"C": np.array(vec)},))
+
     def test_json_round_trip(self, dblp_schema):
         summary = dblp_reference_summary(dblp_schema)
         back = summary_from_json(summary_to_json(summary))
