@@ -157,28 +157,26 @@ def _load_model(path: str, g):
     return params
 
 
-def _train_config(config_path: str | None, seed: int | None):
-    from .train import TrainConfig
+def _read_input(path: str, build, what: str, error: type[Exception]):
+    """``io.read_json(path, build)``; a file that cannot be read or built
+    from is ``error`` with the message ``<what>: <path>: ...``."""
+    from .io import read_json
 
-    raw = {}
-    if config_path:
-        try:
-            with open(config_path) as f:
-                raw = json.load(f)
-        except FileNotFoundError as err:
-            raise UsageError(str(err)) from err
-        except json.JSONDecodeError as err:
-            raise UsageError(f"{config_path}: invalid JSON ({err})") from err
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    if seed is not None:
-        raw["seed"] = seed
     try:
-        return TrainConfig(**raw)
-    except (TypeError, ValueError) as err:
-        raise UsageError(f"bad config: {err}") from err
+        return read_json(path, build)
+    except OSError as err:
+        raise error(f"{what}: {path}: {err.strerror or err}") from err
+    except ValueError as err:
+        raise error(f"{what}: {err}") from err
+
+
+def _train_config(config_path: str | None, seed: int | None):
+    from .train import TrainConfig, config_from_json
+
+    cfg = TrainConfig()
+    if config_path:
+        cfg = _read_input(config_path, config_from_json, "bad config", UsageError)
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
 def cmd_train(args) -> int:
@@ -270,11 +268,7 @@ def cmd_explain(args) -> int:
     if args.per_object and not args.out:
         raise UsageError("--per-object needs --out: only the global ranking is printed")
     if args.summary:
-        try:
-            with open(args.summary) as f:
-                summary = summary_from_json(json.load(f))
-        except (OSError, ValueError, KeyError) as err:
-            raise DataError(f"bad summary file: {err}") from err
+        summary = _read_input(args.summary, summary_from_json, "bad summary file", DataError)
         schema = summary.schema
     elif args.model and args.data:
         g = _load_graph(args.data)
@@ -311,23 +305,13 @@ def cmd_generate(args) -> int:
     from .datagen import generate, spec_from_json, with_splits
     from .io import save_graph
 
-    try:
-        with open(args.spec) as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        raise UsageError(str(err)) from err
-    if not isinstance(raw, dict):
-        raise UsageError(
-            f"bad generator spec: {args.spec}: expected a JSON object, "
-            f"got {type(raw).__name__}"
-        )
+    spec = _read_input(args.spec, spec_from_json, "bad generator spec", UsageError)
     if args.seed is not None:
-        raw["seed"] = args.seed
+        spec = dataclasses.replace(spec, seed=args.seed)
     try:
-        spec = spec_from_json(raw)
         g = generate(spec)
     except (KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"bad generator spec: {err}") from err
+        raise UsageError(f"bad generator spec: {args.spec}: {err}") from err
     g = with_splits(g, args.train_fraction, seed=spec.seed)
     save_graph(args.out, g)
     print(
@@ -396,13 +380,15 @@ def cmd_verify(args) -> int:
         raise
     failed = False
     print("validate_graph PASS: no violations")
+    # both checks build dense matrices of the objects they are given
+    small = _downscaled(g, args.max_objects, args.max_features)
     seen = set()
     for src, dst in g.schema.relations:
         pair = tuple(sorted((src, dst)))
         if pair in seen or (dst, src) not in g.schema.relations:
             continue
         seen.add(pair)
-        dev, scale = spectral_equivalence_on_graph(g, dst, src, seed=args.seed)
+        dev, scale = spectral_equivalence_on_graph(small, dst, src, seed=args.seed)
         # rounding error grows with the output's magnitude
         scale = max(1.0, scale)
         ok = dev <= SPECTRAL_TOL * scale
@@ -414,7 +400,6 @@ def cmd_verify(args) -> int:
         )
     if not seen:
         print("spectral_equivalence SKIP: no bidirectional relation pairs")
-    small = _downscaled(g, args.max_objects, args.max_features)
     if any((lab >= 0).any() for lab in small.labels.values()):
         cfg = TrainConfig(layer_widths=(4, 3), d_a=3, seed=args.seed)
         report = model_loss_gradcheck(small, cfg, h=1e-5, tol=GRADCHECK_TOL)

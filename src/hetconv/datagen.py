@@ -310,6 +310,8 @@ def random_features(n: int, dim: int, seed: int, label: str = "") -> np.ndarray:
 
 def spec_from_json(obj: Mapping) -> GenSpec:
     """GenSpec from a JSON object; unknown keys are rejected."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - {f.name for f in fields(GenSpec)}
     if unknown:
         raise ValueError(f"unknown generator config keys: {sorted(unknown)}")

@@ -339,6 +339,8 @@ def summary_to_json(summary: AttentionSummary) -> dict:
 
 
 def summary_from_json(obj: Mapping) -> AttentionSummary:
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
     schema = Schema.from_json(obj["schema"])
     tables = []
     for entry in obj["transitions"]:

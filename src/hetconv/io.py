@@ -199,11 +199,11 @@ def read_json(path: Path | str, build):
     """``build`` applied to the file's JSON; a decode error or a missing or
     mistyped field is re-raised as a ValueError naming the file."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return build(json.load(f))
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err}") from None
-    except (ValueError, TypeError, OverflowError) as err:
+    except (ValueError, TypeError, AttributeError, OverflowError) as err:
         raise ValueError(f"{path}: {err}") from None
 
 
@@ -281,6 +281,8 @@ def _load_edges(path: Path, n_rows: int, n_cols: int) -> SparseAdj:
             raise ValueError(f"weight is not a number: {parts[2]!r}") from None
         if not np.isfinite(w):
             raise ValueError("non-finite weight")
+        if w <= 0:
+            raise ValueError(f"non-positive weight {w!r}")
         return src, dst, w
 
     table = _parse_table(path, _EDGE_DTYPE)
@@ -288,6 +290,7 @@ def _load_edges(path: Path, n_rows: int, n_cols: int) -> SparseAdj:
         _in_range(table["src"], n_cols)
         and _in_range(table["dst"], n_rows)
         and np.isfinite(table["weight"]).all()
+        and (table["weight"] > 0).all()
     ):
         table = _scan_lines(path, parse_fields, _EDGE_DTYPE)
     return SparseAdj.from_edges(n_rows, n_cols, table["dst"], table["src"], table["weight"])

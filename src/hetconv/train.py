@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -37,26 +39,63 @@ class TrainConfig:
     loss_weights: dict[str, float] | None = None
 
     def __post_init__(self):
-        self.layer_widths = tuple(int(w) for w in self.layer_widths)
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.l2_weight < 0:
-            raise ValueError("l2_weight must be nonnegative")
-        if self.max_epochs < 0 or self.patience < 0:
-            raise ValueError("max_epochs and patience must be nonnegative")
+        self.max_epochs = _integer("max_epochs", self.max_epochs, 0)
+        self.patience = _integer("patience", self.patience, 0)
+        self.seed = _integer("seed", self.seed)
+        self.d_a = _integer("d_a", self.d_a, 1)
+        if not isinstance(self.layer_widths, (list, tuple)) or not self.layer_widths:
+            raise ValueError(
+                f"layer_widths must be a non-empty list of integers, got {self.layer_widths!r}"
+            )
+        self.layer_widths = tuple(
+            _integer(f"layer_widths[{i}]", w, 1) for i, w in enumerate(self.layer_widths)
+        )
+        if not isinstance(self.mean_variant, bool):
+            raise ValueError(f"mean_variant must be true or false, got {self.mean_variant!r}")
+        _finite("learning_rate", self.learning_rate, lambda v: v > 0, "> 0")
+        _finite("l2_weight", self.l2_weight, lambda v: v >= 0, ">= 0")
+        _finite("dropout_rate", self.dropout_rate, lambda v: 0 <= v < 1, "in [0, 1)")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
-        if not self.layer_widths or min(self.layer_widths) < 1:
-            raise ValueError("layer_widths must be positive")
         if not isinstance(self.loss_weights, (dict, type(None))):
             raise ValueError("loss_weights must map object types to weights")
         for t, w in (self.loss_weights or {}).items():
-            if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < np.inf:
-                raise ValueError(
-                    f"loss_weights[{t!r}] must be a finite number >= 0, got {w!r}"
-                )
+            _finite(f"loss_weights[{t!r}]", w, lambda v: v >= 0, ">= 0")
+
+
+def _integer(name: str, value, lo: int | None = None) -> int:
+    """``value`` as an int if it is a Python or NumPy integer (not a bool)
+    of at least ``lo``; otherwise a ValueError naming the field."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or (lo is not None and value < lo)
+    ):
+        bound = "" if lo is None else f" >= {lo}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, value, ok, bound: str) -> None:
+    """A ValueError naming the field unless ``value`` is a finite real
+    number (not a bool) for which ``ok`` holds."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or not ok(value)
+    ):
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def config_from_json(obj) -> TrainConfig:
+    """TrainConfig from a JSON object; unknown keys are rejected."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    unknown = set(obj) - {f.name for f in fields(TrainConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return TrainConfig(**obj)
 
 
 # Adam's moment decay rates and denominator guard

@@ -171,6 +171,7 @@ class TestBadInputExitsData:
             ("edges_A_P.tsv", "0\t130\t1\n", "edges_A_P.tsv:1: target index 130 out of range"),
             ("edges_A_P.tsv", "1.0\t0\t1\n", "edges_A_P.tsv:1: source index is not an integer"),
             ("edges_A_P.tsv", "0\t0\tnan\n", "edges_A_P.tsv:1: non-finite weight"),
+            ("edges_A_P.tsv", "0\t0\t1\n1\t0\t0\n", "edges_A_P.tsv:2: non-positive weight 0.0"),
             ("split_A.json", '{"train": [999], "test": [1]}',
              "type A split train: index 999 outside [0, 40)"),
             ("split_A.json", '{"train": [0, 1], "val": [2], "test": [1, 3]}',
@@ -271,6 +272,72 @@ class TestBadInputExitsData:
         assert proc.returncode == cli.EXIT_DATA
         assert "checkpoint in the old layout" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# (case, file content: None for no file, "dir" for a directory, message)
+BAD_JSON_FILES = [
+    ("missing", None, "No such file or directory"),
+    ("directory", "dir", "Is a directory"),
+    ("non-utf8", b'{"seed": "\xff"}', "can't decode byte 0xff"),
+    ("invalid", b'{"seed": ', "Expecting value"),
+    ("nested-list", b"[[1]]", "expected a JSON object, got list"),
+    ("string", b'"x"', "expected a JSON object, got str"),
+]
+
+# keys that replace TRAIN_CFG's, and the message naming the bad field
+BAD_CONFIG_FIELDS = [
+    ({"layer_widths": "64"}, "layer_widths must be a non-empty list of integers, got '64'"),
+    ({"layer_widths": [1.5, 2.9]}, "layer_widths[0] must be an integer >= 1, got 1.5"),
+    ({"mean_variant": "no"}, "mean_variant must be true or false, got 'no'"),
+    ({"max_epochs": 1.5, "patience": 0}, "max_epochs must be an integer >= 0, got 1.5"),
+    ({"max_epochs": True}, "max_epochs must be an integer >= 0, got True"),
+    ({"d_a": -1}, "d_a must be an integer >= 1, got -1"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"learning_rate": float("nan")}, "learning_rate must be a finite number > 0, got nan"),
+    ({"learning_rate": float("inf")}, "learning_rate must be a finite number > 0, got inf"),
+    ({"l2_weight": float("nan")}, "l2_weight must be a finite number >= 0, got nan"),
+]
+
+
+def _bad_json_inputs():
+    for command in ("train", "benchmark", "generate", "explain"):
+        for case, body, message in BAD_JSON_FILES:
+            yield pytest.param(command, body, message, id=f"{command}-{case}")
+    for fields, message in BAD_CONFIG_FIELDS:
+        body = json.dumps({**TRAIN_CFG, **fields}).encode()
+        yield pytest.param("train", body, message, id=f"train-{json.dumps(fields)}")
+    schema = {"types": ["A", "P"], "relations": [["A", "P"], ["P", "A"]]}
+    blocks_list = {"schema": schema, "transitions": [{"blocks": []}]}
+    yield pytest.param(
+        "explain", json.dumps(blocks_list).encode(), "'list' object has no attribute 'items'",
+        id="explain-blocks-not-an-object",
+    )
+
+
+@pytest.mark.parametrize("command, body, message", _bad_json_inputs())
+def test_bad_json_input_names_the_file(data_dir, tmp_path, capsys, command, body, message):
+    """Every JSON input goes through one reader: a bad file is one error
+    line with the command's exit code and prefix, naming the file. In
+    process, an uncaught exception fails the test."""
+    path = tmp_path / "input.json"
+    if body == "dir":
+        path.mkdir()
+    elif body is not None:
+        path.write_bytes(body)
+    code, prefix, args = {
+        "train": (cli.EXIT_USAGE, "bad config",
+                  ["train", "--data", str(data_dir), "--config", str(path),
+                   "--out", str(tmp_path / "o")]),
+        "benchmark": (cli.EXIT_USAGE, "bad config", ["benchmark", "--config", str(path)]),
+        "generate": (cli.EXIT_USAGE, "bad generator spec",
+                     ["generate", "--spec", str(path), "--out", str(tmp_path / "o")]),
+        "explain": (cli.EXIT_DATA, "bad summary file",
+                    ["explain", "--summary", str(path), "--target", "A"]),
+    }[command]
+    assert cli.main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}: {path}: ")
+    assert message in err and len(err.splitlines()) == 1
 
 
 class TestNumericFailure:
@@ -407,7 +474,8 @@ class TestTrain:
         assert cli.main(
             ["train", "--data", str(data_dir), "--config", str(cfg), "--out", str(tmp_path / "o")]
         ) == code
-        assert message in capsys.readouterr().err
+        # a config error names the file
+        assert message.replace("bad config: ", f"bad config: {cfg}: ") in capsys.readouterr().err
 
     def test_validation_failure_exits_data(self, data_dir, tmp_path, capsys):
         broken = tmp_path / "badgraph"
@@ -553,7 +621,10 @@ class TestExplain:
         summary_path.write_text(json.dumps(raw))
         code = cli.main(["explain", "--summary", str(summary_path), "--target", "A"])
         assert code == cli.EXIT_DATA
-        assert "bad summary file: transition 1-2 block A: " in capsys.readouterr().err
+        assert (
+            f"bad summary file: {summary_path}: transition 1-2 block A: "
+            in capsys.readouterr().err
+        )
 
     def test_unknown_target_nonzero(self, tmp_path, dblp_schema, capsys):
         summary_path = tmp_path / "summary.json"
@@ -576,10 +647,34 @@ class TestVerify:
         assert "gradcheck PASS" in out
 
     def test_spectral_tolerance_scales_with_output(self, huge_dir, capsys):
-        cli.main(["verify", "--data", str(huge_dir), "--max-objects", "8"])
+        # every object of the CLI graph, whose largest type has 130
+        cli.main(["verify", "--data", str(huge_dir), "--max-objects", "130"])
         out = capsys.readouterr().out
         assert "spectral_equivalence A<->P PASS" in out
-        assert "x scale 2.155e+200" in out
+        assert "x scale 2.764e+200" in out
+        line = next(x for x in out.splitlines() if "A<->P" in x)
+        # the deviation passes only because the tolerance scales
+        assert float(line.split("max deviation ")[1].split()[0]) > cli.SPECTRAL_TOL
+
+    def test_spectral_check_runs_on_the_cut_graph(self, data_dir, capsys, monkeypatch):
+        import hetconv.model as model_mod
+
+        seen = []
+        check = model_mod.spectral_equivalence_on_graph
+
+        def recording(g, *args, **kwargs):
+            seen.append(g)
+            return check(g, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "spectral_equivalence_on_graph", recording)
+        code = cli.main(
+            ["verify", "--data", str(data_dir), "--max-objects", "7", "--max-features", "4"]
+        )
+        assert code == cli.EXIT_OK, capsys.readouterr().out
+        assert len(seen) == 3
+        for g in seen:
+            assert max(g.n_objects(t) for t in g.schema.object_types) <= 7
+            assert max(f.shape[1] for f in g.features.values()) <= 4
 
     def test_gradcheck_floor_scales_with_loss(self, huge_dir, capsys):
         code = cli.main(["verify", "--data", str(huge_dir)])

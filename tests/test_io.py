@@ -280,6 +280,8 @@ class TestEdgeLoader:
             ("-1\t0\t1\n", r":1: source index -1 out of range \[0, 3\)"),
             ("0\t0\tx\n", ":1: weight is not a number: 'x'"),
             ("0\t0\t1\t4\n", ":1: expected 2 or 3 fields, got 4"),
+            ("0\t0\t1\n1\t2\t0\n", ":2: non-positive weight 0.0"),
+            ("0\t0\t-1\n", ":1: non-positive weight -1.0"),
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, toy_graph, body, check):

@@ -37,6 +37,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
 
+    def test_numpy_integers_become_ints(self):
+        cfg = TrainConfig(layer_widths=[np.int32(4), 2], seed=np.int64(3), d_a=np.uint8(5))
+        assert cfg.layer_widths == (4, 2) and cfg.seed == 3 and cfg.d_a == 5
+        assert all(type(v) is int for v in (*cfg.layer_widths, cfg.seed, cfg.d_a))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            TrainConfig(seed=np.float64(3.0))
+
 
 class TestCrossEntropyLoss:
     def test_confident_correct_near_zero(self):
