@@ -1,24 +1,28 @@
 """Scalability harness: epoch time versus graph size.
 
 Each scale's graph is generated up front (generation and any file I/O are
-excluded from timing) and trained by ``train.fit`` for ``repeats + 1``
-epochs. The timings are the ``epoch_seconds`` that ``fit`` logs, so an
-epoch is the train step (forward, loss, backward, optimizer step) and
-the validation pass. The first epoch per scale is a warmup and is
-discarded. The summaries, among them a least-squares line of median
-epoch time against |V| + |E| that quantifies how close the growth is to
-linear, are computed from the remaining epochs' seconds when read.
+excluded from timing) and trained through ``train.epochs``, the loop
+``fit`` runs, for ``repeats + 1`` epochs. The scales take turns, one
+epoch each per round. The timings are the ``epoch_seconds`` of the log
+records, so an epoch is the train step (forward, loss, backward,
+optimizer step) and the validation pass. The first epoch per scale is a
+warmup and is discarded. The summaries, among them a least-squares line
+of median epoch time against |V| + |E| that quantifies how close the
+growth is to linear, are computed from the remaining epochs' seconds
+when read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .datagen import GenSpec, dblp_spec, generate, with_splits
-from .train import TrainConfig, fit
+from .graph import HinGraph
+from .train import TrainConfig, build_params, epochs
 
 TRAIN_FRACTION = 20.0  # percent of each labeled type's objects in the train split
 
@@ -151,33 +155,47 @@ def run_scaling(
 ) -> BenchReport:
     """Time ``fit``'s epochs across graph scales and fit time vs size.
 
-    Scales run sequentially to keep timings interference-free. A scale
-    that runs out of memory is recorded as a failure and skipped; the fit
-    uses the remaining scales.
+    Every scale trains through its own ``train.epochs`` generator, and the
+    generators advance round-robin, one epoch per scale per round, so a
+    stretch of host noise lands on every scale rather than on one. A
+    scale that runs out of memory is recorded as a failure and dropped;
+    the fit uses the remaining scales.
     """
     if len(specs) < 5:
         raise ValueError("need at least 5 scales for a meaningful fit")
     if repeats < 3:
         raise ValueError("need at least 3 timed repeats")
-    # patience == max_epochs never stops early: every epoch runs
-    epochs = repeats + 1
-    cfg = dataclasses.replace(cfg or TrainConfig(), max_epochs=epochs, patience=epochs)
-    results: list[ScaleResult] = []
+    epochs_per_scale = repeats + 1
+    # epochs never stops early; patience only has to fit max_epochs
+    cfg = dataclasses.replace(
+        cfg or TrainConfig(), max_epochs=epochs_per_scale, patience=epochs_per_scale
+    )
+    runs: dict[int, tuple[HinGraph, Iterator[dict]]] = {}
     failures: list[str] = []
-    for spec in specs:
+
+    def fail(i: int) -> None:
+        runs.pop(i, None)
+        failures.append(f"out of memory at scale with counts {dict(specs[i].counts)}")
+
+    for i, spec in enumerate(specs):
         try:
             g = with_splits(generate(spec), TRAIN_FRACTION, seed=spec.seed)
-            _, log = fit(g, cfg)
+            runs[i] = g, epochs(g, cfg, build_params(g, cfg))
         except MemoryError:
-            failures.append(
-                f"out of memory at scale with counts {dict(spec.counts)}"
-            )
-            continue
-        results.append(
-            ScaleResult(
-                n_objects=g.total_objects(),
-                n_links=g.total_links(),
-                epoch_seconds=[r["epoch_seconds"] for r in log[1:]],  # log[0] is the warmup
-            )
+            fail(i)
+    seconds: dict[int, list[float]] = {i: [] for i in runs}
+    for _ in range(epochs_per_scale):
+        for i, (_, run) in list(runs.items()):
+            try:
+                seconds[i].append(next(run)["epoch_seconds"])
+            except MemoryError:
+                fail(i)
+    results = [
+        ScaleResult(
+            n_objects=g.total_objects(),
+            n_links=g.total_links(),
+            epoch_seconds=seconds[i][1:],  # the first epoch is the warmup
         )
+        for i, (g, _) in runs.items()
+    ]
     return BenchReport(scales=results, repeats=repeats, threads=threads, failures=failures)

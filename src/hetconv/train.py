@@ -6,7 +6,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -339,15 +339,16 @@ def train_step(
     return value
 
 
-def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
-    """Train with Adam and early stopping on validation micro F1.
+def epochs(g: HinGraph, cfg: TrainConfig, params: ModelParams) -> Iterator[dict]:
+    """Train ``params`` in place with Adam, one epoch per step of the
+    generator, and yield each epoch's log record.
 
     Per epoch: one train-mode forward on the whole graph, the loss over
     the train split, one backward pass, one optimizer step, then an
-    eval-mode pass for the validation metrics. Keeps the parameters of
-    the best validation epoch. The log holds one record per epoch. A
-    non-finite train loss, gradient or Adam moment raises
-    FloatingPointError naming the epoch.
+    eval-mode pass for the validation metrics. Runs at most
+    ``cfg.max_epochs`` epochs and never stops early; the consumer does.
+    The graph is checked before the first epoch. A non-finite train loss,
+    gradient or Adam moment raises FloatingPointError naming the epoch.
     """
     problems = validate_graph(g)
     if problems:
@@ -365,19 +366,12 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
         raise ValueError(f"loss_weights name types with no train labels: {unused}")
     # an empty val part counts as absent: early stopping then follows -loss
     val_idx = {t: g.splits[t]["val"] for t in labeled if len(g.splits[t].get("val", ()))}
-    params = build_params(g, cfg)
-    named = params.named()
-    adam = AdamState.for_params(named)
-    log: list[dict] = []
-    best_score = -np.inf
-    best_values: dict[str, np.ndarray] = {k: p.value.copy() for k, p in named.items()}
-    stale = 0
+    adam = AdamState.for_params(params.named())
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         loss = train_step(g, params, adam, cfg, train_idx, epoch)
         val_metrics = evaluate(params, g, val_idx) if val_idx else {}
-        score = _val_score(val_metrics) if val_metrics else -loss
-        record = {
+        yield {
             "epoch": epoch,
             "train_loss": loss,
             "val_micro_f1": _val_score(val_metrics) if val_metrics else None,
@@ -388,7 +382,25 @@ def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
             else None,
             "epoch_seconds": time.perf_counter() - t0,
         }
+
+
+def fit(g: HinGraph, cfg: TrainConfig) -> tuple[ModelParams, list[dict]]:
+    """Train a fresh ``build_params(g, cfg)`` through ``epochs``, with
+    early stopping on validation micro F1 (on -loss without a validation
+    split), and keep the parameters of the best epoch. The log holds one
+    record per epoch run.
+    """
+    params = build_params(g, cfg)
+    named = params.named()
+    log: list[dict] = []
+    best_score = -np.inf
+    best_values: dict[str, np.ndarray] = {k: p.value.copy() for k, p in named.items()}
+    stale = 0
+    for record in epochs(g, cfg, params):
         log.append(record)
+        score = record["val_micro_f1"]
+        if score is None:
+            score = -record["train_loss"]
         if score > best_score:
             best_score = score
             best_values = {k: p.value.copy() for k, p in named.items()}

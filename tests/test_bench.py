@@ -114,21 +114,36 @@ def test_summaries_are_computed_from_the_epoch_seconds():
 
 def test_run_scaling_times_fit_epochs_after_the_warmup(monkeypatch):
     logs = []
-    fit = bench.fit
+    epochs = bench.epochs
 
-    def logged_fit(g, cfg):
-        params, log = fit(g, cfg)
+    def logged_epochs(g, cfg, params):
+        log = []
         logs.append(log)
-        return params, log
+        for record in epochs(g, cfg, params):
+            log.append(record)
+            yield record
 
-    monkeypatch.setattr(bench, "fit", logged_fit)
+    monkeypatch.setattr(bench, "epochs", logged_epochs)
     report = run_scaling(tiny_specs(), TrainConfig(layer_widths=(8, 2), d_a=4, seed=0), repeats=3)
-    assert [len(log) for log in logs] == [4] * 5  # patience == max_epochs: no early stop
+    assert [len(log) for log in logs] == [4] * 5
     assert [s.epoch_seconds for s in report.scales] == [
         [r["epoch_seconds"] for r in log[1:]] for log in logs
     ]
 
 
+def test_run_scaling_takes_the_scales_in_turn(monkeypatch):
+    turns = []
+    epochs = bench.epochs
+
+    def logged_epochs(g, cfg, params):
+        for record in epochs(g, cfg, params):
+            turns.append((g.total_objects(), record["epoch"]))
+            yield record
+
+    monkeypatch.setattr(bench, "epochs", logged_epochs)
+    run_scaling(tiny_specs(), TrainConfig(layer_widths=(8, 2), d_a=4, seed=0), repeats=3)
+    sizes = sorted({n for n, _ in turns})
+    assert turns == [(n, epoch) for epoch in range(1, 5) for n in sizes]
 def test_default_scale_specs_cover_ten_x():
     specs = default_scale_specs(seed=0, n_scales=6)
     assert len(specs) == 6
