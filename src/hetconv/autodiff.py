@@ -3,10 +3,12 @@
 The tape is closed-world: it records exactly the five primitives the
 model needs and nothing else:
 
-- ``matmul``: dense product;
+- ``matmul``: dense product, optionally written into a given array;
 - ``spmm``: sparse-dense product (the adjacency carries no gradient);
 - ``attend``: a block's type-level step, attention over the per-type
-  candidates, their mix and the output ELU;
+  candidates, their mix and the output ELU. It reads the candidates as
+  one candidate-major k x n x d array: ``model.hetero_conv`` writes them
+  into the slabs of one such buffer, and any other list is stacked once;
 - ``dropout``: inverted dropout;
 - ``cross_entropy``: the whole weighted classification loss.
 
@@ -154,11 +156,17 @@ def _accum(x: GradMatrix, g: np.ndarray) -> None:
         x.grad += g
 
 
-def matmul(a: GradMatrix, b: GradMatrix) -> GradMatrix:
+def matmul(a: GradMatrix, b: GradMatrix, out: np.ndarray | None = None) -> GradMatrix:
+    """Dense product. Given ``out``, an array of the product's shape, the
+    product is written there and the result's value is ``out`` itself:
+    ``hetero_conv`` writes its candidates into the slabs of one buffer
+    this way."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    if out is not None and out.shape != (a.shape[0], b.shape[1]):
+        raise ValueError(f"matmul output shape mismatch: {a.shape} x {b.shape} into {out.shape}")
     tape = _tape_of(a, b)
-    out = GradMatrix(a.value @ b.value, tape)
+    out = GradMatrix(np.matmul(a.value, b.value, out=out), tape)
     if tape is not None:
         av, bv = a.value, b.value
 
@@ -203,6 +211,28 @@ def _elu(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(neg, x, out=neg if scratch is None else x)
 
 
+def _candidate_buffer(values: Sequence[GradMatrix], dtype: np.dtype) -> np.ndarray:
+    """The k x n x d array whose slab j is ``values[j]``'s value: the
+    buffer the candidates were written into (see ``model.hetero_conv``),
+    or, for any other list, one stacked copy."""
+    k, (n, d) = len(values), values[0].shape
+    buf = values[0].value.base
+    if (
+        isinstance(buf, np.ndarray)
+        and buf.shape == (k, n, d)
+        and buf.dtype == dtype
+        and buf.flags.c_contiguous
+        and all(
+            z.value.base is buf
+            and z.value.strides == buf.strides[1:]
+            and z.value.ctypes.data == buf.ctypes.data + j * buf.strides[0]
+            for j, z in enumerate(values)
+        )
+    ):
+        return buf
+    return np.stack([z.value for z in values], dtype=dtype)
+
+
 def attend(
     values: Sequence[GradMatrix],
     w_k: GradMatrix | None = None,
@@ -222,6 +252,15 @@ def attend(
     mix, softmax, logits and maps together and skips every untracked
     operand.
 
+    The candidates are read as one candidate-major k x n x d array: the
+    buffer whose consecutive slabs they are, as ``model.hetero_conv``
+    returns them, or else one stacked copy. The logits are one mat-vec
+    over its k*n rows; the mix is one batched product, each object's
+    1 x k weights times its k x d rows. The backward pass writes every
+    candidate's gradient into one k x n x d array, with one batched
+    product of per-object coefficients and the mix gradient and key
+    map rows, and hands each candidate its slab.
+
     The logits, softmax and their backward run in float64 (k is small),
     and the returned weights are float64; the mix, the output ELU and
     every n x d gradient run in the candidates' dtype.
@@ -237,6 +276,8 @@ def attend(
         raise ValueError("attend needs the key map, the query map and w_a, or none")
     k = len(values)
     dtype = values[0].value.dtype
+    buf = _candidate_buffer(values, dtype)
+    flat = buf.reshape(k * n, d)
     if not maps:
         att = np.full((n, k), 1.0 / k)
     else:
@@ -254,34 +295,38 @@ def attend(
         a_k, a_q = m_a[:d_a], m_a[d_a:]
         key, query = m_k @ a_k, m_q @ a_q
         # the n x k logits and softmax are float64 whatever the compute dtype
-        pre = np.hstack([z.value @ key for z in values], dtype=np.float64)
-        pre += values[0].value @ query
+        pre = (flat @ key[:, 0]).reshape(k, n).T.astype(np.float64, order="C")
+        pre += buf[0] @ query
         logits = _elu(pre)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         att = e / e.sum(axis=1, keepdims=True)
-    # the mix runs in the candidates' dtype, with the weights cast once
+    # the mix runs in the candidates' dtype, with the weights cast once;
+    # each object's k weights times its k x d candidate rows, batched
     weights = att.astype(dtype, copy=False)
-    mixed = weights[:, :1] * values[0].value
-    term = np.empty_like(mixed)
-    for j in range(1, k):
-        mixed += np.multiply(weights[:, j : j + 1], values[j].value, out=term)
-    out_val = _elu(mixed, term)
+    by_object = buf.transpose(1, 0, 2)  # n x k x d, a view
+    out_val = _elu(np.matmul(weights[:, None, :], by_object)[:, 0])
     tape = _tape_of(*values, *maps)
     out = GradMatrix(out_val, tape)
     if tape is not None:
+        tracked = [j for j, z in enumerate(values) if z.tape is not None]
 
         def backward(g: np.ndarray) -> None:
+            # allocated first, before the temporaries: a heap hole of the
+            # buffer's size left by them would not be reused
+            grads = np.empty((k, n, d), dtype=dtype) if tracked else None
+            # object i's k candidate gradients are its k x r coefficients
+            # times row i of the r basis slabs: the mix gradient and, with
+            # maps, the key map folded with w_a
+            basis = np.empty((2 if maps else 1, n, d), dtype=dtype)
+            coef = np.empty((n, k, len(basis)), dtype=dtype)
+            coef[:, :, 0] = weights
             # the output ELU's slope is 1 where the mix is > 0 and
             # exp(mix) = out + 1 elsewhere
-            g_mix = np.minimum(out_val, 0.0)
+            g_mix = np.minimum(out_val, 0.0, out=basis[0])
             g_mix += 1.0
             g_mix *= g
-            grads = [
-                weights[:, j : j + 1] * g_mix if z.tape is not None else None
-                for j, z in enumerate(values)
-            ]
             if maps:
-                d_att = np.column_stack([np.einsum("ij,ij->i", g_mix, z.value) for z in values])
+                d_att = np.matmul(by_object, g_mix[:, :, None])[:, :, 0]
                 d_att = d_att.astype(np.float64, copy=False)
                 slope = np.exp(np.minimum(pre, 0.0))
                 d_pre = slope * att * (d_att - (d_att * att).sum(axis=1, keepdims=True))
@@ -289,25 +334,25 @@ def attend(
                 # back to the compute dtype for the n x d and parameter products
                 d_pre = d_pre.astype(dtype, copy=False)
                 d_q = d_q.astype(dtype, copy=False)
-                term = np.empty((n, d), dtype=dtype)
-                for j, gz in enumerate(grads):
-                    if gz is not None:
-                        gz += np.multiply(d_pre[:, j : j + 1], key.T, out=term)
-                if grads[0] is not None:
-                    grads[0] += np.multiply(d_q, query.T, out=term)
-                d_key = values[0].value.T @ d_pre[:, :1]
-                for j in range(1, k):
-                    d_key += values[j].value.T @ d_pre[:, j : j + 1]
-                d_query = values[0].value.T @ d_q
+                coef[:, :, 1] = d_pre
+                basis[1] = key[:, 0]
+                d_key = flat.T @ d_pre.T.ravel()
+                d_query = buf[0].T @ d_q
                 if w_k.tape is not None:
-                    _accum(w_k, d_key @ a_k.T)
+                    _accum(w_k, np.outer(d_key, a_k))
                 if w_q.tape is not None:
                     _accum(w_q, d_query @ a_q.T)
                 if w_a.tape is not None:
-                    _accum(w_a, np.vstack([m_k.T @ d_key, m_q.T @ d_query]))
-            for z, gz in zip(values, grads):
-                if gz is not None:
-                    _accum(z, gz)
+                    _accum(w_a, np.vstack([m_k.T @ d_key[:, None], m_q.T @ d_query]))
+            if tracked:
+                # written candidate-major, so candidate j's gradient is slab j
+                np.matmul(coef, basis.transpose(1, 0, 2), out=grads.transpose(1, 0, 2))
+                if maps:
+                    # the query side is candidate 0's alone; the key slab is
+                    # free for the product
+                    grads[0] += np.multiply(d_q, query.T, out=basis[1])
+                for j in tracked:
+                    _accum(values[j], grads[j])
 
         tape.record(out, backward)
     return out, att

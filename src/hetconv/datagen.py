@@ -19,6 +19,7 @@ import numpy as np
 from . import rng as rng_mod
 from .autodiff import xavier_uniform
 from .graph import HinGraph, Schema, SparseAdj
+from .io import checked_finite, checked_integer
 
 DBLP_SCHEMA = Schema(
     object_types=("P", "A", "C", "T"),
@@ -36,12 +37,17 @@ class DegreeSpec:
     max_degree: int = 40
     value: int = 1  # degree when dist == "const"
 
+    def __post_init__(self):
+        if self.dist not in ("powerlaw", "const"):
+            raise ValueError(f"unknown degree distribution {self.dist!r}")
+        checked_finite("exponent", self.exponent)
+        for name in ("min_degree", "max_degree", "value"):
+            object.__setattr__(self, name, checked_integer(name, getattr(self, name), 1))
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.dist == "const":
             return np.full(n, self.value, dtype=np.int64)
-        if self.dist != "powerlaw":
-            raise ValueError(f"unknown degree distribution {self.dist!r}")
-        if not 1 <= self.min_degree <= self.max_degree:
+        if self.min_degree > self.max_degree:
             raise ValueError("need 1 <= min_degree <= max_degree")
         values = np.arange(self.min_degree, self.max_degree + 1)
         weights = values.astype(np.float64) ** -self.exponent
@@ -82,13 +88,17 @@ class GenSpec:
         object.__setattr__(self, "counts", dict(self.counts))
         object.__setattr__(self, "planted_path", tuple(self.planted_path))
         object.__setattr__(self, "edges", tuple(self.edges))
-        if not 0.0 <= self.noise < 1.0:
-            raise ValueError("noise must be in [0, 1)")
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
+        checked_finite("noise", self.noise, lambda v: 0 <= v < 1, "in [0, 1)")
+        for name, lo in (("n_classes", 2), ("feature_dim", 1), ("seed", None)):
+            object.__setattr__(self, name, checked_integer(name, getattr(self, name), lo))
+        if not isinstance(self.informative_features, bool):
+            raise ValueError(
+                f"informative_features must be true or false, got {self.informative_features!r}"
+            )
         for t in self.schema.object_types:
-            if self.counts.get(t, 0) < 1:
+            if t not in self.counts:
                 raise ValueError(f"type {t}: needs a positive object count")
+            self.counts[t] = checked_integer(f"counts[{t!r}]", self.counts[t], 1)
         if len(set(self.planted_path)) != len(self.planted_path):
             raise ValueError("planted path types must be distinct")
         for a, b in zip(self.planted_path, self.planted_path[1:]):
@@ -319,14 +329,15 @@ def spec_from_json(obj: Mapping) -> GenSpec:
     if "schema" in kwargs:
         kwargs["schema"] = Schema.from_json(kwargs["schema"])
     if "edges" in kwargs:
-        kwargs["edges"] = tuple(
-            EdgeSpec(
-                picker=e["picker"],
-                picked=e["picked"],
-                degree=DegreeSpec(
-                    **{k: v for k, v in e.items() if k not in ("picker", "picked")}
-                ),
-            )
-            for e in kwargs["edges"]
-        )
+        kwargs["edges"] = tuple(_edge_from_json(i, e) for i, e in enumerate(kwargs["edges"]))
     return GenSpec(**kwargs)
+
+
+def _edge_from_json(i: int, e: Mapping) -> EdgeSpec:
+    """``edges[i]`` of a generator spec; a bad degree field is a
+    ValueError naming the edge and the field."""
+    degree = {k: v for k, v in e.items() if k not in ("picker", "picked")}
+    try:
+        return EdgeSpec(picker=e["picker"], picked=e["picked"], degree=DegreeSpec(**degree))
+    except ValueError as err:
+        raise ValueError(f"edges[{i}]: {err}") from err

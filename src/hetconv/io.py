@@ -19,6 +19,8 @@ import contextlib
 import itertools
 import json
 import lzma
+import math
+import numbers
 import os
 import tempfile
 import tokenize
@@ -193,6 +195,33 @@ def save_graph(directory: Path | str, g: HinGraph) -> None:
             directory / f"split_{t}.json",
             {k: [int(i) for i in v] for k, v in parts.items()},
         )
+
+
+def checked_integer(name: str, value, lo: int | None = None) -> int:
+    """``value`` as an int if it is a Python or NumPy integer (not a bool)
+    of at least ``lo``; otherwise a ValueError naming the field."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or (lo is not None and value < lo)
+    ):
+        bound = "" if lo is None else f" >= {lo}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def checked_finite(name: str, value, ok=None, bound: str = "") -> None:
+    """A ValueError naming the field unless ``value`` is a finite real
+    number (not a bool) for which ``ok``, if given, holds; ``bound`` says
+    in words what ``ok`` checks."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or (ok is not None and not ok(value))
+    ):
+        bound = f" {bound}" if bound else ""
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 def read_json(path: Path | str, build):

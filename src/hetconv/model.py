@@ -198,23 +198,41 @@ def hetero_conv(
     then each neighbor type's, projected and averaged through its
     row-normalized adjacency, in ``adj``'s order.
 
+    The candidates are the consecutive slabs of one candidate-major
+    k x n x d buffer, which ``attend`` reads whole. The self projection
+    and every relation that aggregates first write their slab through
+    ``matmul(out=)``; a relation that projects first has its sparse
+    product, which scipy allocates, copied into its slab.
+
     Each relation's product ``adj[gamma] @ h_neigh[gamma] @ w_rel[gamma]``
     is associated in whichever order ``aggregates_first`` finds cheaper.
     Where it aggregates first, ``aggregated(gamma)``, if given, supplies
     the constant product ``adj[gamma] @ h_neigh[gamma]`` instead. A shape
     error in a relation's product names its neighbor type.
     """
-    candidates = [matmul(h_self, w_self)]
-    for gamma, a in adj.items():
+    n, d = h_self.shape[0], w_self.shape[1]
+    dtype = np.result_type(h_self.value, w_self.value)
+    buf = np.empty((1 + len(adj), n, d), dtype=dtype)
+    candidates = [matmul(h_self, w_self, out=buf[0])]
+    for slab, (gamma, a) in zip(buf[1:], adj.items()):
         h, w = h_neigh[gamma], w_rel[gamma]
         try:
+            if (a.n_rows, w.shape[1]) != (n, d):
+                raise ValueError(
+                    f"attend candidates differ in shape: {(n, d)} vs {(a.n_rows, w.shape[1])}"
+                )
             if aggregates_first(a, *w.shape):
                 ah = constant(aggregated(gamma)) if aggregated else spmm(a, h)
-                candidates.append(matmul(ah, w))
+                z = matmul(ah, w, out=slab)
             else:
-                candidates.append(spmm(a, matmul(h, w)))
+                z = spmm(a, matmul(h, w))
+                # the copy takes the sparse product's place; its record
+                # reads only the gradient, never the value
+                slab[...] = z.value
+                z.value = slab
         except ValueError as err:
             raise ValueError(f"from {gamma}: {err}") from err
+        candidates.append(z)
     return candidates
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
@@ -14,6 +12,7 @@ from . import rng as rng_mod
 from .autodiff import GradCheckReport, GradMatrix, Tape, cross_entropy, gradcheck
 # normalized_adjacency is unused here, but hetbench/spans.py patches train's reference
 from .graph import HinGraph, normalized_adjacency, validate_graph  # noqa: F401
+from .io import checked_finite, checked_integer
 from .model import ModelParams, clone_with, forward, init_params
 
 
@@ -39,53 +38,28 @@ class TrainConfig:
     loss_weights: dict[str, float] | None = None
 
     def __post_init__(self):
-        self.max_epochs = _integer("max_epochs", self.max_epochs, 0)
-        self.patience = _integer("patience", self.patience, 0)
-        self.seed = _integer("seed", self.seed)
-        self.d_a = _integer("d_a", self.d_a, 1)
+        self.max_epochs = checked_integer("max_epochs", self.max_epochs, 0)
+        self.patience = checked_integer("patience", self.patience, 0)
+        self.seed = checked_integer("seed", self.seed)
+        self.d_a = checked_integer("d_a", self.d_a, 1)
         if not isinstance(self.layer_widths, (list, tuple)) or not self.layer_widths:
             raise ValueError(
                 f"layer_widths must be a non-empty list of integers, got {self.layer_widths!r}"
             )
         self.layer_widths = tuple(
-            _integer(f"layer_widths[{i}]", w, 1) for i, w in enumerate(self.layer_widths)
+            checked_integer(f"layer_widths[{i}]", w, 1) for i, w in enumerate(self.layer_widths)
         )
         if not isinstance(self.mean_variant, bool):
             raise ValueError(f"mean_variant must be true or false, got {self.mean_variant!r}")
-        _finite("learning_rate", self.learning_rate, lambda v: v > 0, "> 0")
-        _finite("l2_weight", self.l2_weight, lambda v: v >= 0, ">= 0")
-        _finite("dropout_rate", self.dropout_rate, lambda v: 0 <= v < 1, "in [0, 1)")
+        checked_finite("learning_rate", self.learning_rate, lambda v: v > 0, "> 0")
+        checked_finite("l2_weight", self.l2_weight, lambda v: v >= 0, ">= 0")
+        checked_finite("dropout_rate", self.dropout_rate, lambda v: 0 <= v < 1, "in [0, 1)")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
         if not isinstance(self.loss_weights, (dict, type(None))):
             raise ValueError("loss_weights must map object types to weights")
         for t, w in (self.loss_weights or {}).items():
-            _finite(f"loss_weights[{t!r}]", w, lambda v: v >= 0, ">= 0")
-
-
-def _integer(name: str, value, lo: int | None = None) -> int:
-    """``value`` as an int if it is a Python or NumPy integer (not a bool)
-    of at least ``lo``; otherwise a ValueError naming the field."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or (lo is not None and value < lo)
-    ):
-        bound = "" if lo is None else f" >= {lo}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
-
-
-def _finite(name: str, value, ok, bound: str) -> None:
-    """A ValueError naming the field unless ``value`` is a finite real
-    number (not a bool) for which ``ok`` holds."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or not ok(value)
-    ):
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+            checked_finite(f"loss_weights[{t!r}]", w, lambda v: v >= 0, ">= 0")
 
 
 def config_from_json(obj) -> TrainConfig:

@@ -4,6 +4,7 @@ import pytest
 from hetconv import rng as rng_mod
 from hetconv.autodiff import (
     GradMatrix,
+    _candidate_buffer,
     Tape,
     attend,
     constant,
@@ -49,6 +50,15 @@ class TestMatmul:
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 2))))
+
+    def test_writes_into_out(self):
+        a, b = np.arange(6.0).reshape(2, 3), np.arange(12.0).reshape(3, 4)
+        buf = np.zeros((2, 2, 4))
+        out = matmul(constant(a), constant(b), out=buf[1])
+        assert out.value.base is buf and np.array_equal(buf[1], a @ b)
+        assert not buf[0].any()
+        with pytest.raises(ValueError, match=r"output shape mismatch: .* into \(2, 3\)"):
+            matmul(constant(a), constant(b), out=np.zeros((2, 3)))
 
     def test_gradient_matches_finite_differences(self):
         fd_check(
@@ -206,6 +216,110 @@ class TestAttend:
         zs = [constant(rng.normal(size=(4, 3))) for _ in range(3)]
         w_k, w_q = constant(rng.normal(size=(3, 2))), constant(rng.normal(size=(3, 2)))
         fd_check(lambda p: loss(attend(zs, w_k, w_q, p["a"])[0]), {"a": (4, 1)}, seed=31, tol=1e-4)
+
+
+def attend_oracle(zs, maps=None):
+    """``attend``'s forward formula transcribed row by row in float64:
+    per-row ELU logits of [key || query] against w_a, their softmax, a
+    loop over the candidates for the mix, and the output ELU."""
+    zs = [np.asarray(z, dtype=np.float64) for z in zs]
+    k, (n, d) = len(zs), zs[0].shape
+    out, att = np.empty((n, d)), np.empty((n, k))
+    for i in range(n):
+        if maps is None:
+            att[i] = 1.0 / k
+        else:
+            w_k, w_q, w_a = (np.asarray(m, dtype=np.float64) for m in maps)
+            logits = np.empty(k)
+            for j in range(k):
+                x = np.concatenate([zs[j][i] @ w_k, zs[0][i] @ w_q]) @ w_a[:, 0]
+                logits[j] = x if x > 0 else np.expm1(x)
+            e = np.exp(logits - logits.max())
+            att[i] = e / e.sum()
+        mix = np.zeros(d)
+        for j in range(k):
+            mix += att[i, j] * zs[j][i]
+        out[i] = np.where(mix > 0, mix, np.expm1(np.minimum(mix, 0.0)))
+    return out, att
+
+
+class TestAttendOracle:
+    """``attend`` against ``attend_oracle``, on candidates that are the
+    slabs of one k x n x d buffer (as ``hetero_conv`` writes them) and on
+    separate arrays (one stacked copy); the two layouts give the same bits."""
+
+    N, D, D_A = 7, 3, 2
+
+    def _case(self, k, with_maps, dtype, seed):
+        rng = np.random.default_rng(seed)
+        zs = rng.normal(size=(k, self.N, self.D))
+        maps = None
+        if with_maps:
+            shapes = ((self.D, self.D_A), (self.D, self.D_A), (2 * self.D_A, 1))
+            maps = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+        return zs.astype(dtype), maps
+
+    def _run(self, buf, separate, maps, tracked):
+        """attend on slabs of ``buf`` or on copies; candidate j is tracked
+        where ``tracked[j]``; returns the output, weights, candidate
+        gradients and map gradients after one backward pass."""
+        tape = Tape()
+        values = [
+            GradMatrix(z.copy() if separate else z, tape if t else None)
+            for z, t in zip(buf, tracked)
+        ]
+        leaves = [GradMatrix(m, tape) for m in maps] if maps is not None else []
+        out, att = attend(values, *leaves)
+        tape.backward(loss(out, seed=3))
+        return out.value, att, [z.grad for z in values], [m.grad for m in leaves]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("with_maps", [True, False])
+    def test_matches_the_row_by_row_formula_in_both_layouts(self, k, with_maps):
+        buf, maps = self._case(k, with_maps, np.float64, seed=10 + k)
+        tracked = [j % 2 == 0 for j in range(k)] if k > 1 else [True]
+        want_out, want_att = attend_oracle(buf, maps)
+        runs = [self._run(buf, separate, maps, tracked) for separate in (False, True)]
+        for out, att, grads, map_grads in runs:
+            assert np.abs(out - want_out).max() < 1e-12
+            assert np.abs(att - want_att).max() < 1e-12
+            assert [g is None for g in grads] == [not t for t in tracked]
+        (_, _, grads_a, maps_a), (_, _, grads_b, maps_b) = runs
+        for a, b in zip(grads_a + maps_a, grads_b + maps_b):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_buffer_slabs_are_read_in_place_and_other_lists_are_stacked(self):
+        buf, _ = self._case(3, False, np.float64, seed=5)
+        slabs = [GradMatrix(z) for z in buf]
+        assert _candidate_buffer(slabs, buf.dtype) is buf
+        # out of order, repeated, or copies: one stacked copy
+        for values in (slabs[::-1], [slabs[0], slabs[0], slabs[2]], [GradMatrix(z.copy()) for z in buf]):
+            stacked = _candidate_buffer(values, buf.dtype)
+            assert stacked is not buf and stacked.shape == buf.shape
+            assert np.array_equal(stacked, np.stack([z.value for z in values]))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_float32_matches_the_float64_formula(self, k):
+        buf, maps = self._case(k, True, np.float32, seed=20 + k)
+        want_out, want_att = attend_oracle(buf, maps)
+        for separate in (False, True):
+            out, att, grads, _ = self._run(buf, separate, maps, [True] * k)
+            assert out.dtype == np.float32 and att.dtype == np.float64
+            assert all(g.dtype == np.float32 for g in grads)
+            assert np.abs(out - want_out).max() <= 1e-6 * np.abs(want_out).max()
+            assert np.abs(att - want_att).max() <= 1e-6
+
+    def test_gradient_through_one_buffer(self):
+        # the candidates are matmul products written into one buffer's slabs
+        def build(p):
+            buf = np.empty((3, 4, 3))
+            values = [matmul(p[f"x{j}"], p[f"w{j}"], out=buf[j]) for j in range(3)]
+            assert _candidate_buffer(values, buf.dtype) is buf
+            return loss(attend(values, p["k"], p["q"], p["a"])[0])
+
+        shapes = {f"x{j}": (4, 2) for j in range(3)}
+        shapes.update({f"w{j}": (2, 3) for j in range(3)})
+        fd_check(build, {**shapes, **TestAttend.MAPS}, seed=32, tol=1e-4)
 
 
 class TestDropout:

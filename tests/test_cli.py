@@ -299,6 +299,29 @@ BAD_CONFIG_FIELDS = [
 ]
 
 
+def _spec_with_const_degree(value):
+    """GEN_SPEC with edge 0's constant degree replaced."""
+    edges = [dict(GEN_SPEC["edges"][0], value=value), *GEN_SPEC["edges"][1:]]
+    return {**GEN_SPEC, "edges": edges}
+
+
+# generator specs with a mistyped field, and the message naming it
+BAD_SPEC_FIELDS = [
+    (_spec_with_const_degree(-1), "edges[0]: value must be an integer >= 1, got -1"),
+    (_spec_with_const_degree(1.5), "edges[0]: value must be an integer >= 1, got 1.5"),
+    (_spec_with_const_degree(True), "edges[0]: value must be an integer >= 1, got True"),
+    (_spec_with_const_degree(float("nan")), "edges[0]: value must be an integer >= 1, got nan"),
+    ({**GEN_SPEC, "edges": [*GEN_SPEC["edges"][:2], {"picker": "P", "picked": "T",
+                                                      "exponent": float("nan")}]},
+     "edges[2]: exponent must be a finite number, got nan"),
+    ({**GEN_SPEC, "seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({**GEN_SPEC, "seed": True}, "seed must be an integer, got True"),
+    ({**GEN_SPEC, "counts": {**GEN_SPEC["counts"], "C": 2.5}},
+     "counts['C'] must be an integer >= 1, got 2.5"),
+    ({**GEN_SPEC, "noise": float("nan")}, "noise must be a finite number in [0, 1), got nan"),
+]
+
+
 def _bad_json_inputs():
     for command in ("train", "benchmark", "generate", "explain"):
         for case, body, message in BAD_JSON_FILES:
@@ -306,6 +329,11 @@ def _bad_json_inputs():
     for fields, message in BAD_CONFIG_FIELDS:
         body = json.dumps({**TRAIN_CFG, **fields}).encode()
         yield pytest.param("train", body, message, id=f"train-{json.dumps(fields)}")
+    for spec, message in BAD_SPEC_FIELDS:
+        field, got = message.split(" must ")[0].replace(": ", "."), message.rsplit("got ", 1)[1]
+        yield pytest.param(
+            "generate", json.dumps(spec).encode(), message, id=f"generate-{field}={got}"
+        )
     schema = {"types": ["A", "P"], "relations": [["A", "P"], ["P", "A"]]}
     blocks_list = {"schema": schema, "transitions": [{"blocks": []}]}
     yield pytest.param(

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from hetconv import rng as rng_mod
-from hetconv.autodiff import GradMatrix, Tape, attend, constant, matmul, spmm
+from hetconv.autodiff import (
+    GradMatrix,
+    Tape,
+    attend,
+    constant,
+    cross_entropy,
+    gradcheck,
+    matmul,
+    spmm,
+)
 from hetconv.datagen import dblp_spec, generate, with_splits
 from hetconv.graph import HinGraph, Schema, SparseAdj, normalized_adjacency, row_normalize
 from hetconv.model import (
@@ -153,6 +162,70 @@ class TestHeteroConv:
         weights = conv_weights(np.eye(3, 2), {"X": w})
         _, z = hetero_conv(*weights, constant(np.zeros((4, 3))), {"X": constant(y)}, {"X": a_hat})
         assert np.abs(z.value - a_hat.to_dense() @ y @ w).max() < 1e-12
+
+
+class TestCandidateBuffer:
+    """A block with one relation that aggregates first (X: 40 sources) and
+    one that projects first (Y: 2 sources), 4 targets, width 2."""
+
+    def _block(self, y_rows=4, seed=0):
+        rng = np.random.default_rng(seed)
+        adj = {
+            "X": row_normalize(SparseAdj.from_edges(4, 40, np.arange(40) % 4, np.arange(40))),
+            "Y": row_normalize(
+                SparseAdj.from_edges(y_rows, 2, np.repeat(np.arange(y_rows), 2), np.tile([0, 1], y_rows))
+            ),
+        }
+        h = {"S": rng.normal(size=(4, 3)), "X": rng.normal(size=(40, 3)), "Y": rng.normal(size=(2, 5))}
+        w = {"self": rng.normal(size=(3, 2)), "X": rng.normal(size=(3, 2)), "Y": rng.normal(size=(5, 2))}
+        assert [aggregates_first(a, *w[gamma].shape) for gamma, a in adj.items()] == [True, False]
+        return adj, h, w
+
+    def _conv(self, adj, h, w, tape=None):
+        leaf = lambda x: GradMatrix(x, tape)  # noqa: E731
+        return hetero_conv(
+            leaf(w["self"]),
+            {gamma: leaf(w[gamma]) for gamma in adj},
+            leaf(h["S"]),
+            {gamma: leaf(h[gamma]) for gamma in adj},
+            adj,
+        )
+
+    def test_candidates_are_consecutive_slabs_of_one_buffer(self):
+        adj, h, w = self._block()
+        candidates = self._conv(adj, h, w)
+        buf = candidates[0].value.base
+        assert buf.shape == (3, 4, 2) and buf.flags.c_contiguous
+        for j, z in enumerate(candidates):
+            assert z.value.base is buf and z.value.ctypes.data == buf[j].ctypes.data
+        want = [h["S"] @ w["self"]] + [a.to_dense() @ h[gm] @ w[gm] for gm, a in adj.items()]
+        for z, x in zip(candidates, want):
+            assert np.abs(z.value - x).max() < 1e-12
+
+    def test_gradients_flow_through_the_buffer(self):
+        adj, h, w = self._block(seed=1)
+        params = {f"h_{t}": x for t, x in h.items()} | {f"w_{t}": x for t, x in w.items()}
+        rng = np.random.default_rng(2)
+        maps = [constant(rng.normal(size=shape)) for shape in ((2, 2), (2, 2), (4, 1))]
+
+        def f(p):
+            candidates = hetero_conv(
+                p["w_self"], {gm: p[f"w_{gm}"] for gm in adj}, p["h_S"],
+                {gm: p[f"h_{gm}"] for gm in adj}, adj,
+            )
+            out, _ = attend(candidates, *maps)
+            targets = np.arange(4) % 2
+            return cross_entropy([(out, np.arange(4), targets, 1.0)])
+
+        report = gradcheck(f, params, tol=1e-5)
+        assert report.passed, f"max rel err {report.max_rel_err:.2e}"
+
+    def test_project_first_relation_with_wrong_row_count_names_its_type(self):
+        adj, h, w = self._block(y_rows=3)
+        with pytest.raises(
+            ValueError, match=r"^from Y: attend candidates differ in shape: \(4, 2\) vs \(3, 2\)$"
+        ):
+            self._conv(adj, h, w)
 
 
 class TestAggregationOrder:
