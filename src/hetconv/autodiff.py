@@ -278,8 +278,10 @@ def attend(
     dtype = values[0].value.dtype
     buf = _candidate_buffer(values, dtype)
     flat = buf.reshape(k * n, d)
+    # the weights are k x n, candidate-major like the buffer, so that their
+    # reductions over the k candidates run along the long axis
     if not maps:
-        att = np.full((n, k), 1.0 / k)
+        att = np.full((k, n), 1.0 / k)
     else:
         d_a = w_k.shape[1]
         if w_k.shape != (d, d_a) or w_q.shape != (d, d_a) or w_a.shape != (2 * d_a, 1):
@@ -294,17 +296,17 @@ def attend(
         m_k, m_q, m_a = (m.value.astype(dtype, copy=False) for m in maps)
         a_k, a_q = m_a[:d_a], m_a[d_a:]
         key, query = m_k @ a_k, m_q @ a_q
-        # the n x k logits and softmax are float64 whatever the compute dtype
-        pre = (flat @ key[:, 0]).reshape(k, n).T.astype(np.float64, order="C")
-        pre += buf[0] @ query
+        # the logits and softmax are float64 whatever the compute dtype
+        pre = (flat @ key[:, 0]).reshape(k, n).astype(np.float64, copy=False)
+        pre += buf[0] @ query[:, 0]
         logits = _elu(pre)
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        att = e / e.sum(axis=1, keepdims=True)
+        e = np.exp(logits - logits.max(axis=0))
+        att = e / e.sum(axis=0)
     # the mix runs in the candidates' dtype, with the weights cast once;
     # each object's k weights times its k x d candidate rows, batched
     weights = att.astype(dtype, copy=False)
     by_object = buf.transpose(1, 0, 2)  # n x k x d, a view
-    out_val = _elu(np.matmul(weights[:, None, :], by_object)[:, 0])
+    out_val = _elu(np.matmul(weights.T[:, None, :], by_object)[:, 0])
     tape = _tape_of(*values, *maps)
     out = GradMatrix(out_val, tape)
     if tape is not None:
@@ -319,43 +321,44 @@ def attend(
             # maps, the key map folded with w_a
             basis = np.empty((2 if maps else 1, n, d), dtype=dtype)
             coef = np.empty((n, k, len(basis)), dtype=dtype)
-            coef[:, :, 0] = weights
+            coef[:, :, 0] = weights.T
             # the output ELU's slope is 1 where the mix is > 0 and
             # exp(mix) = out + 1 elsewhere
             g_mix = np.minimum(out_val, 0.0, out=basis[0])
             g_mix += 1.0
             g_mix *= g
             if maps:
-                d_att = np.matmul(by_object, g_mix[:, :, None])[:, :, 0]
-                d_att = d_att.astype(np.float64, copy=False)
+                # k x n and float64, like the weights
+                d_att = np.matmul(by_object, g_mix[:, :, None])[:, :, 0].T
+                d_att = d_att.astype(np.float64, order="C")
                 slope = np.exp(np.minimum(pre, 0.0))
-                d_pre = slope * att * (d_att - (d_att * att).sum(axis=1, keepdims=True))
-                d_q = d_pre.sum(axis=1, keepdims=True)
+                d_pre = slope * att * (d_att - (d_att * att).sum(axis=0))
+                d_q = d_pre.sum(axis=0)
                 # back to the compute dtype for the n x d and parameter products
                 d_pre = d_pre.astype(dtype, copy=False)
                 d_q = d_q.astype(dtype, copy=False)
-                coef[:, :, 1] = d_pre
+                coef[:, :, 1] = d_pre.T
                 basis[1] = key[:, 0]
-                d_key = flat.T @ d_pre.T.ravel()
+                d_key = flat.T @ d_pre.ravel()
                 d_query = buf[0].T @ d_q
                 if w_k.tape is not None:
                     _accum(w_k, np.outer(d_key, a_k))
                 if w_q.tape is not None:
-                    _accum(w_q, d_query @ a_q.T)
+                    _accum(w_q, np.outer(d_query, a_q))
                 if w_a.tape is not None:
-                    _accum(w_a, np.vstack([m_k.T @ d_key[:, None], m_q.T @ d_query]))
+                    _accum(w_a, np.concatenate([m_k.T @ d_key, m_q.T @ d_query])[:, None])
             if tracked:
                 # written candidate-major, so candidate j's gradient is slab j
                 np.matmul(coef, basis.transpose(1, 0, 2), out=grads.transpose(1, 0, 2))
                 if maps:
                     # the query side is candidate 0's alone; the key slab is
                     # free for the product
-                    grads[0] += np.multiply(d_q, query.T, out=basis[1])
+                    grads[0] += np.multiply(d_q[:, None], query.T, out=basis[1])
                 for j in tracked:
                     _accum(values[j], grads[j])
 
         tape.record(out, backward)
-    return out, att
+    return out, att.T
 
 
 _MASK_LEVELS = 1 << 16  # a dropout mask draws uint16 integers
