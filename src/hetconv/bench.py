@@ -9,7 +9,9 @@ optimizer step) and the validation pass. The first epoch per scale is a
 warmup and is discarded. The summaries, among them a least-squares line
 of median epoch time against |V| + |E| that quantifies how close the
 growth is to linear, are computed from the remaining epochs' seconds
-when read.
+when read. Each scale also records the multiply-adds of its epoch's two
+forward passes, a count that grows with the work and not with the
+host's noise.
 """
 
 from __future__ import annotations
@@ -22,16 +24,21 @@ import numpy as np
 
 from .datagen import GenSpec, dblp_spec, generate, with_splits
 from .graph import HinGraph
-from .train import TrainConfig, build_params, epochs
+from .model import ModelParams, multiply_adds
+from .train import TrainConfig, build_params, epochs, split_indices
 
 TRAIN_FRACTION = 20.0  # percent of each labeled type's objects in the train split
 
 
 @dataclass
 class ScaleResult:
+    """One scale's size and timed epochs; ``multiply_adds`` is its
+    ``epoch_multiply_adds``, where counted."""
+
     n_objects: int
     n_links: int
     epoch_seconds: list[float]
+    multiply_adds: int | None = None
 
     @property
     def size(self) -> int:
@@ -106,6 +113,7 @@ class BenchReport:
                     "mean_seconds": s.mean_seconds,
                     "std_seconds": s.std_seconds,
                     "median_seconds": s.median_seconds,
+                    **({} if s.multiply_adds is None else {"multiply_adds": s.multiply_adds}),
                 }
                 for s in self.scales
             ],
@@ -119,13 +127,13 @@ class BenchReport:
     def to_text(self) -> str:
         lines = [
             f"{'objects':>10} {'links':>10} {'|V|+|E|':>10} "
-            f"{'median_s':>10} {'mean_s':>10} {'std_s':>10}"
+            f"{'median_s':>10} {'mean_s':>10} {'std_s':>10} {'mult_adds':>14}"
         ]
         for s in self.scales:
             lines.append(
                 f"{s.n_objects:>10} {s.n_links:>10} {s.size:>10} "
                 f"{s.median_seconds:>10.4f} {s.mean_seconds:>10.4f} "
-                f"{s.std_seconds:>10.4f}"
+                f"{s.std_seconds:>10.4f} {'-' if s.multiply_adds is None else s.multiply_adds:>14}"
             )
         line = self.line
         lines.append(
@@ -145,6 +153,14 @@ def default_scale_specs(seed: int = 0, n_scales: int = 6) -> list[GenSpec]:
     """A doubling ladder of DBLP-like graphs; at six scales the size
     |V| + |E| spans 32x and the largest graph has about 2e5 links."""
     return [dblp_spec(235 * 2**i, seed=seed, noise=0.05) for i in range(n_scales)]
+
+
+def epoch_multiply_adds(g: HinGraph, params: ModelParams) -> int:
+    """The multiply-adds of an epoch's two forward passes
+    (``model.multiply_adds``): the train pass over the train split and the
+    validation pass over the validation split. Deterministic, so the
+    scaling of an epoch's work shows without timing noise."""
+    return sum(multiply_adds(params, g, split_indices(g, part)) for part in ("train", "val"))
 
 
 def run_scaling(
@@ -171,6 +187,7 @@ def run_scaling(
         cfg or TrainConfig(), max_epochs=epochs_per_scale, patience=epochs_per_scale
     )
     runs: dict[int, tuple[HinGraph, Iterator[dict]]] = {}
+    work: dict[int, int] = {}
     failures: list[str] = []
 
     def fail(i: int) -> None:
@@ -180,7 +197,9 @@ def run_scaling(
     for i, spec in enumerate(specs):
         try:
             g = with_splits(generate(spec), TRAIN_FRACTION, seed=spec.seed)
-            runs[i] = g, epochs(g, cfg, build_params(g, cfg))
+            params = build_params(g, cfg)
+            work[i] = epoch_multiply_adds(g, params)
+            runs[i] = g, epochs(g, cfg, params)
         except MemoryError:
             fail(i)
     seconds: dict[int, list[float]] = {i: [] for i in runs}
@@ -195,6 +214,7 @@ def run_scaling(
             n_objects=g.total_objects(),
             n_links=g.total_links(),
             epoch_seconds=seconds[i][1:],  # the first epoch is the warmup
+            multiply_adds=work[i],
         )
         for i, (g, _) in runs.items()
     ]

@@ -6,9 +6,10 @@ and optional integer labels. The containers are frozen dataclasses whose
 fields are set at construction. ``HinGraph`` and ``SparseAdj`` also fill
 caches on first use: a graph its features in another dtype
 (``_features_by_dtype``), its row-normalized adjacency
-(``_normalized_adjacency``) and its layer-2 aggregations
-(``_aggregated_features``); an adjacency its float32 and transposed CSR
-handles (``_products``). The caches take no lock.
+(``_normalized_adjacency``), its layer-2 aggregations
+(``_aggregated_features``) and its row plans (``_row_plans``); an
+adjacency its float32 and transposed CSR handles (``_products``). The
+caches take no lock.
 """
 
 from __future__ import annotations
@@ -261,6 +262,7 @@ class HinGraph:
         object.__setattr__(self, "_features_by_dtype", {_F64: feats})
         object.__setattr__(self, "_normalized_adjacency", None)
         object.__setattr__(self, "_aggregated_features", {})
+        object.__setattr__(self, "_row_plans", {})
         labels = {
             t: np.asarray(v, dtype=np.int64) for t, v in (self.labels or {}).items()
         }
@@ -328,6 +330,167 @@ def aggregated_features(g: HinGraph, rel: Relation, dtype) -> np.ndarray:
         product = normalized_adjacency(g)[rel].matmul(g.features_as(dtype)[rel[0]])
         g._aggregated_features[key] = product
     return product
+
+
+@dataclass(frozen=True)
+class BlockRows:
+    """The rows one block computes under a ``RowPlan``, and what it reads.
+
+    ``rows`` are the block type's objects it computes, ascending; None
+    for every object. ``select`` picks them out of the rows its own type
+    holds one layer down, for the self term; None where those are the
+    same rows. ``adjacency[gamma]`` is the row-normalized relation from
+    neighbor type ``gamma`` restricted to ``rows``, its columns renumbered
+    to the rows ``gamma`` holds one layer down: the graph's own
+    ``SparseAdj`` where that keeps every row and every column.
+    """
+
+    rows: np.ndarray | None
+    select: SparseAdj | None
+    adjacency: dict[str, SparseAdj]
+
+
+@dataclass(frozen=True)
+class RowPlan:
+    """The rows each layer computes so that the last layer yields the
+    requested ones.
+
+    ``blocks[i]`` maps each block of the transition from layer ``i + 1``
+    to ``i + 2``, in schema order, to its ``BlockRows``. ``lift[t]``, the
+    |V_t| x |rows| 0/1 matrix of output type ``t``, scatters the last
+    layer's rows into a full-height matrix that is zero elsewhere; None
+    where those rows are every row.
+    """
+
+    blocks: list[dict[str, BlockRows]]
+    lift: dict[str, SparseAdj | None]
+
+
+def row_plan(
+    g: HinGraph, outputs: Iterable[str] | Mapping[str, np.ndarray], n_transitions: int
+) -> RowPlan:
+    """The ``RowPlan`` of ``n_transitions`` layer transitions whose last
+    yields ``outputs``, built on the graph's first request for those
+    outputs and kept with it, like ``normalized_adjacency``.
+
+    The blocks are ``Schema.live_blocks(outputs, n_transitions)``.
+    ``outputs`` is either type names, whose blocks compute every row, or a
+    mapping from type to object indices, taken as a set, whose rows alone
+    the last layer computes. Below it, a type's rows are those the layer
+    above reads: its own rows there (the self term) and every column of
+    the rows of a relation into a block above, so the row sets only grow
+    going down. The input features keep every row. An unknown type is a
+    KeyError, an index outside the type's objects a ValueError.
+    """
+    names = tuple(outputs)
+    live = g.schema.live_blocks(names, n_transitions)
+    if isinstance(outputs, Mapping):
+        top = {t: _output_rows(g, t, outputs[t]) for t in sorted(names)}
+        key = (n_transitions, tuple((t, None if r is None else r.tobytes()) for t, r in top.items()))
+    else:
+        top, key = None, (n_transitions, frozenset(names))
+    plan = g._row_plans.get(key)
+    if plan is None:
+        plan = _build_row_plan(g, live, top)
+        g._row_plans[key] = plan
+    return plan
+
+
+def _output_rows(g: HinGraph, t: str, idx) -> np.ndarray | None:
+    """The ascending distinct ``idx`` of type ``t``; None if that is every object."""
+    n = g.n_objects(t)
+    rows = np.unique(np.asarray(idx, dtype=np.int64))
+    if len(rows) and (rows[0] < 0 or rows[-1] >= n):
+        raise ValueError(f"output rows of type {t}: index outside [0, {n})")
+    return None if len(rows) == n else rows
+
+
+def _build_row_plan(
+    g: HinGraph, live: list[tuple[str, ...]], top: Mapping[str, np.ndarray | None] | None
+) -> RowPlan:
+    """The plan whose last layer computes ``top``'s rows, or every row of
+    every live block where ``top`` is None (type names)."""
+    schema, norm = g.schema, normalized_adjacency(g)
+    rows = _plan_rows(g, live, top)
+    # one copy of each distinct restriction: consecutive layers often
+    # read a relation at the same rows and columns
+    restrictions: dict[tuple, SparseAdj] = {}
+
+    def restricted(gamma, omega, r, cols):
+        key = (gamma, omega) + tuple(None if x is None else x.tobytes() for x in (r, cols))
+        if key not in restrictions:
+            restrictions[key] = _restricted(norm[(gamma, omega)], r, cols)
+        return restrictions[key]
+
+    blocks = []
+    for i, layer in enumerate(rows):
+        below = rows[i - 1] if i else {}  # layer 1, the features, keeps every row
+        blocks.append(
+            {
+                omega: BlockRows(
+                    rows=layer[omega],
+                    select=_selection(layer[omega], below.get(omega), g.n_objects(omega)),
+                    adjacency={
+                        gamma: restricted(gamma, omega, layer[omega], below.get(gamma))
+                        for gamma in schema.neighbor_types(omega)
+                    },
+                )
+                for omega in live[i]
+            }
+        )
+    lift = {
+        t: None if r is None else SparseAdj.from_edges(g.n_objects(t), len(r), r, np.arange(len(r)))
+        for t, r in rows[-1].items()
+    }
+    return RowPlan(blocks=blocks, lift=lift)
+
+
+def _plan_rows(
+    g: HinGraph, live: list[tuple[str, ...]], top: Mapping[str, np.ndarray | None] | None
+) -> list[dict[str, np.ndarray | None]]:
+    """``rows[i][t]``: the rows of ``t`` that transition ``i`` computes,
+    None for every row."""
+    rows: list[dict[str, np.ndarray | None]] = [dict.fromkeys(layer) for layer in live]
+    if top is None:
+        return rows
+    schema, norm = g.schema, normalized_adjacency(g)
+    rows[-1] = dict(top)
+    for i in range(len(live) - 1, 0, -1):
+        above = rows[i]
+        for t in live[i - 1]:
+            if t in above and above[t] is None:
+                continue  # its self term reads every row
+            read = np.zeros(g.n_objects(t), dtype=bool)
+            if t in above:
+                read[above[t]] = True
+            for omega, r in above.items():
+                if t in schema.neighbor_types(omega):
+                    csr = norm[(t, omega)]._csr
+                    read[(csr if r is None else csr[r]).indices] = True
+            rows[i - 1][t] = None if read.all() else np.flatnonzero(read)
+    return rows
+
+
+def _selection(rows: np.ndarray | None, below: np.ndarray | None, n: int) -> SparseAdj | None:
+    """The 0/1 matrix that picks ``rows`` out of ``below``, a superset of
+    them (None: all ``n`` objects); None where the two are the same."""
+    if rows is None or (below is not None and len(below) == len(rows)):
+        return None
+    cols = rows if below is None else np.searchsorted(below, rows)
+    n_below = n if below is None else len(below)
+    return SparseAdj.from_edges(len(rows), n_below, np.arange(len(rows)), cols)
+
+
+def _restricted(a: SparseAdj, rows: np.ndarray | None, cols: np.ndarray | None) -> SparseAdj:
+    """``a``'s ``rows`` with each column renumbered to its position in
+    ``cols``, which holds every column those rows store (None: every row,
+    every column); ``a`` itself where both are None."""
+    if rows is None and cols is None:
+        return a
+    csr = a._csr if rows is None else a._csr[rows]
+    indices = csr.indices if cols is None else np.searchsorted(cols, csr.indices)
+    n_cols = a.n_cols if cols is None else len(cols)
+    return SparseAdj(csr.shape[0], n_cols, csr.indptr, indices, csr.data)
 
 
 def validate_graph(g: HinGraph) -> list[str]:

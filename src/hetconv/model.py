@@ -39,6 +39,7 @@ from .graph import (
     aggregated_features,
     normalized_adjacency,
     row_normalize,
+    row_plan,
 )
 from .io import checked_matrix, load_npz, read_json, save_npz, write_json
 
@@ -181,9 +182,16 @@ def aggregates_first(adj: SparseAdj, d_in: int, d_out: int) -> bool:
     n_tgt * d_in * d_out. Both give the same product up to rounding; a tie
     keeps ``A (H W)``.
     """
-    project_first = adj.n_cols * d_in * d_out + adj.nnz * d_out
-    aggregate_first = adj.nnz * d_in + adj.n_rows * d_in * d_out
+    project_first, aggregate_first = _relation_costs(adj, d_in, d_out)
     return aggregate_first < project_first
+
+
+def _relation_costs(adj: SparseAdj, d_in: int, d_out: int) -> tuple[int, int]:
+    """The multiply-adds of ``A (H W)`` and of ``(A H) W``, in that order."""
+    return (
+        adj.n_cols * d_in * d_out + adj.nnz * d_out,
+        adj.nnz * d_in + adj.n_rows * d_in * d_out,
+    )
 
 
 def hetero_conv(
@@ -192,7 +200,7 @@ def hetero_conv(
     h_self: GradMatrix,
     h_neigh: Mapping[str, GradMatrix],
     adj: Mapping[str, SparseAdj],
-    aggregated: Callable[[str], np.ndarray] | None = None,
+    aggregated: Mapping[str, np.ndarray] | None = None,
 ) -> list[GradMatrix]:
     """A block's attention candidates: its own representation projected,
     then each neighbor type's, projected and averaged through its
@@ -202,11 +210,12 @@ def hetero_conv(
     k x n x d buffer, which ``attend`` reads whole. The self projection
     and every relation that aggregates first write their slab through
     ``matmul(out=)``; a relation that projects first has its sparse
-    product, which scipy allocates, copied into its slab.
+    product, which scipy allocates, copied into its slab, and releases
+    its projection ``H W`` as soon as the sparse product has read it.
 
     Each relation's product ``adj[gamma] @ h_neigh[gamma] @ w_rel[gamma]``
     is associated in whichever order ``aggregates_first`` finds cheaper.
-    Where it aggregates first, ``aggregated(gamma)``, if given, supplies
+    Where it aggregates first, ``aggregated[gamma]``, if there, supplies
     the constant product ``adj[gamma] @ h_neigh[gamma]`` instead. A shape
     error in a relation's product names its neighbor type.
     """
@@ -222,12 +231,18 @@ def hetero_conv(
                     f"attend candidates differ in shape: {(n, d)} vs {(a.n_rows, w.shape[1])}"
                 )
             if aggregates_first(a, *w.shape):
-                ah = constant(aggregated(gamma)) if aggregated else spmm(a, h)
+                if aggregated and gamma in aggregated:
+                    ah = constant(aggregated[gamma])
+                else:
+                    ah = spmm(a, h)
                 z = matmul(ah, w, out=slab)
             else:
-                z = spmm(a, matmul(h, w))
-                # the copy takes the sparse product's place; its record
-                # reads only the gradient, never the value
+                hw = matmul(h, w)
+                z = spmm(a, hw)
+                # spmm's record reads only the gradient: H W is released
+                # now, its record keeping just the gradient slot, and the
+                # copy takes the sparse product's place
+                hw.value = np.broadcast_to(hw.value.dtype.type(0), hw.shape)
                 slab[...] = z.value
                 z.value = slab
         except ValueError as err:
@@ -243,32 +258,43 @@ def forward(
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
     norm_adj: Mapping[Relation, SparseAdj] | None = None,
-    outputs: Iterable[str] | None = None,
+    outputs: Iterable[str] | Mapping[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, GradMatrix], list[dict[str, np.ndarray]]]:
     """Run the layers; return the final representations of the ``outputs``
     types and the attention records.
 
-    ``outputs`` defaults to every type in eval mode and to the labeled
-    types (``g.labels``; every type if there are none) in train mode,
-    whose pass only feeds a loss over labels. Only the blocks the outputs
-    read are computed (``Schema.live_blocks``).
+    ``outputs`` is type names or a mapping from type to object indices.
+    Only the blocks the outputs read are computed (``Schema.live_blocks``),
+    and each of them only at the rows its ``graph.row_plan`` lists: every
+    row for type names; for a mapping, the rows the layer above reads,
+    down from the requested ones. A mapping's final representations still
+    have one row per object, and every row outside the request is exactly
+    0. ``outputs`` defaults to every type in eval mode. In train mode,
+    whose pass only feeds a loss over the train split, it defaults to the
+    rows ``train.epochs`` trains on, ``{t: g.splits[t]["train"]}`` for the
+    labeled types with a train split, and without one to the labeled
+    types' names (``g.labels``; every type if there are none).
     ``attention_records[i][omega]`` is the attention matrix of block
     ``omega`` at the transition from layer ``i + 1`` to ``i + 2``, for
-    each block that transition computed: column 0 is the block's own
-    type, the others follow ``Schema.neighbor_types(omega)``.
+    each block that transition computed, one row per computed row in
+    ascending object order (every object for type names): column 0 is the
+    block's own type, the others follow ``Schema.neighbor_types(omega)``.
 
     In train mode, dropout is applied to every hidden layer's output
-    (never the last layer's). Each (layer, type) draws its mask from its
-    own stream, labeled under one root drawn from ``rng``, so the masks
-    do not depend on which blocks are computed.
+    (never the last layer's). Each (layer, type) draws its mask at full
+    height from its own stream, labeled under one root drawn from
+    ``rng``, and keeps its computed rows, so the masks depend neither on
+    which blocks nor on which rows are computed.
 
     Every pass computes in the parameters' dtype, reading the features
     through ``g.features_as``, so train-mode gradients match the
     parameters. The attention records are float64 whatever that dtype.
     A block aggregates through the graph's own ``normalized_adjacency``,
     and layer 2 takes its aggregations of the constant features from
-    ``graph.aggregated_features``. ``norm_adj`` must be None or that same
-    mapping; any other is a ValueError.
+    ``graph.aggregated_features``, the rows it computes of each relation
+    that a pass over every row aggregates first: so the graph keeps the
+    same products whatever rows its passes compute. ``norm_adj`` must be
+    None or that same mapping; any other is a ValueError.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -279,8 +305,15 @@ def forward(
     if norm_adj is not None and norm_adj is not adjacency:
         raise ValueError("norm_adj must be None or normalized_adjacency(g) of the same graph")
     if outputs is None:
-        outputs = g.labels if training and g.labels else g.schema.object_types
-    live = g.schema.live_blocks(outputs, params.n_layers - 1)
+        outputs = g.schema.object_types
+        if training:
+            train_rows = {
+                t: g.splits[t]["train"]
+                for t in g.schema.object_types
+                if t in g.labels and "train" in g.splits.get(t, {})
+            }
+            outputs = train_rows or tuple(g.labels) or outputs
+    plan = row_plan(g, outputs, params.n_layers - 1)
     drop_root = int(rng.integers(2**63)) if training and dropout_rate > 0 else None
     dtype = params.dtype
     feats = g.features_as(dtype)
@@ -295,28 +328,71 @@ def forward(
         h[t] = constant(feat)
     records: list[dict[str, np.ndarray]] = []
     n_layers = params.n_layers
-    for n, blocks, layer_live in zip(range(2, n_layers + 1), params.layers, live):
+    for n, blocks, layer_plan in zip(range(2, n_layers + 1), params.layers, plan.blocks):
         new_h: dict[str, GradMatrix] = {}
         layer_att: dict[str, np.ndarray] = {}
-        for omega in layer_live:
+        for omega, reads in layer_plan.items():
             block = blocks[omega]
-            adj = {gm: adjacency[(gm, omega)] for gm in g.schema.neighbor_types(omega)}
-            # layer 2 reads the constant features, whose aggregations the graph keeps
+            h_self = h[omega] if reads.select is None else spmm(reads.select, h[omega])
+            # layer 2 reads the constant features, whose aggregations the
+            # graph keeps; the restriction of a relation that aggregates
+            # first also does: it keeps every column, and fewer rows and
+            # links only favour aggregating first
             aggregated = None
             if n == 2:
-                aggregated = lambda gm, omega=omega: aggregated_features(g, (gm, omega), dtype)
+                aggregated = {
+                    gm: _rows_of(aggregated_features(g, (gm, omega), dtype), reads.rows)
+                    for gm, w in block.w_rel.items()
+                    if aggregates_first(adjacency[(gm, omega)], *w.shape)
+                }
             maps = () if params.mean_variant else (block.w_k, block.w_q, block.w_a)
             try:
-                candidates = hetero_conv(block.w_self, block.w_rel, h[omega], h, adj, aggregated)
+                candidates = hetero_conv(
+                    block.w_self, block.w_rel, h_self, h, reads.adjacency, aggregated
+                )
                 out, layer_att[omega] = attend(candidates, *maps)
             except ValueError as err:
                 raise ValueError(f"layer {n} block {omega}: {err}") from err
             if drop_root is not None and n < n_layers:
-                out = dropout(out, dropout_rate, rng_mod.stream(drop_root, n, omega))
+                stream = rng_mod.stream(drop_root, n, omega)
+                out = dropout(out, dropout_rate, stream, reads.rows, g.n_objects(omega))
             new_h[omega] = out
         h = new_h
         records.append(layer_att)
+    h = {t: z if plan.lift[t] is None else spmm(plan.lift[t], z) for t, z in h.items()}
     return h, records
+
+
+def _rows_of(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """``x``'s ``rows``; ``x`` itself for None (every row)."""
+    return x if rows is None else x[rows]
+
+
+def multiply_adds(
+    params: ModelParams, g: HinGraph, outputs: Iterable[str] | Mapping[str, np.ndarray]
+) -> int:
+    """The multiply-adds of one ``forward`` pass for ``outputs``, counted
+    from its ``graph.row_plan``: a deterministic measure of a pass's work.
+
+    Per computed block of r rows and output width d: the self projection
+    (r x d_in x d), each relation at whichever of ``aggregates_first``'s
+    two formulas is cheaper on its restricted adjacency, and ``attend``
+    over its k candidates, the mix (k x r x d) plus, with attention maps,
+    the logits (k x r x d). Row gathers and scatters, the softmax and the
+    ELUs are not counted.
+    """
+    plan = row_plan(g, outputs, params.n_layers - 1)
+    total = 0
+    for dims_in, dims_out, layer_plan in zip(params.dims, params.dims[1:], plan.blocks):
+        for omega, reads in layer_plan.items():
+            r = g.n_objects(omega) if reads.rows is None else len(reads.rows)
+            d = dims_out[omega]
+            total += r * dims_in[omega] * d
+            for gamma, a in reads.adjacency.items():
+                total += min(_relation_costs(a, dims_in[gamma], d))
+            k = 1 + len(reads.adjacency)
+            total += (1 if params.mean_variant else 2) * k * r * d
+    return total
 
 
 def _spectral_equivalence(

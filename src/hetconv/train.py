@@ -219,7 +219,8 @@ def evaluate(
     norm_adj=None,
 ) -> dict[str, dict]:
     """Metrics per labeled type on the given split (name or index map),
-    from one eval-mode ``forward`` that computes only the split's types."""
+    from one eval-mode ``forward`` given the split's index map: it
+    computes only the rows those objects read (``graph.row_plan``)."""
     parts = split_indices(g, split)
     h, _ = forward(params, g, mode="eval", norm_adj=norm_adj, outputs=parts)
     return split_metrics(g, h, parts)
@@ -256,9 +257,11 @@ def model_loss_gradcheck(
     a fresh ``build_params(g, cfg)``, in float64.
 
     Runs in eval mode (no dropout) so the objective is deterministic; the
-    loss covers all labeled objects. The pass computes only the blocks
-    the loss reads, so every other parameter gets a zero gradient on both
-    routes; the report still lists it.
+    loss covers all labeled objects. The pass is given their index map,
+    so it computes only the blocks, and in them the rows, that the loss
+    reads (``graph.row_plan``); where some objects are unlabeled, the
+    check runs through the row gathers and the final scatter. A parameter of a block the loss does not read
+    gets a zero gradient on both routes; the report still lists it.
     """
     params = build_params(g, cfg)
     labeled_idx = {
@@ -284,14 +287,16 @@ def train_step(
     train_idx: Mapping[str, np.ndarray],
     epoch: int,
 ) -> float:
-    """One optimization step: train-mode forward on the whole graph, the
-    weighted loss over ``train_idx``, backward, Adam. Returns the loss; a
-    non-finite loss raises FloatingPointError naming the epoch before the
-    backward pass.
+    """One optimization step: train-mode forward, the weighted loss over
+    ``train_idx``, backward, Adam. Returns the loss; a non-finite loss
+    raises FloatingPointError naming the epoch before the backward pass.
 
     The dropout masks come from the stream of ``(cfg.seed, epoch)``, so a
-    step is reproducible from its epoch number alone. The forward pass
-    computes only the blocks the loss over ``train_idx``'s types reads.
+    step is reproducible from its epoch number alone. The forward pass is
+    given ``train_idx``, so it computes only the blocks, and in them the
+    rows, that the loss reads (``graph.row_plan``). It is the pass
+    ``forward``'s train-mode default makes, bit for bit, when
+    ``train_idx`` is every labeled type's train part, as in ``epochs``.
     """
     tape = Tape()
     params.attach(tape)
@@ -317,9 +322,10 @@ def epochs(g: HinGraph, cfg: TrainConfig, params: ModelParams) -> Iterator[dict]
     """Train ``params`` in place with Adam, one epoch per step of the
     generator, and yield each epoch's log record.
 
-    Per epoch: one train-mode forward on the whole graph, the loss over
-    the train split, one backward pass, one optimizer step, then an
-    eval-mode pass for the validation metrics. Runs at most
+    Per epoch: one train-mode forward over the rows the train split
+    reads, the loss over the train split, one backward pass, one
+    optimizer step, then an eval-mode pass over the rows the validation
+    split reads, for the validation metrics. Runs at most
     ``cfg.max_epochs`` epochs and never stops early; the consumer does.
     The graph is checked before the first epoch. A non-finite train loss,
     gradient or Adam moment raises FloatingPointError naming the epoch.

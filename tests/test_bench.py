@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 from hetconv import bench
-from hetconv.bench import BenchReport, ScaleResult, default_scale_specs, run_scaling
-from hetconv.datagen import GenSpec
-from hetconv.train import TrainConfig
+from hetconv.bench import (
+    TRAIN_FRACTION,
+    BenchReport,
+    ScaleResult,
+    default_scale_specs,
+    epoch_multiply_adds,
+    run_scaling,
+)
+from hetconv.datagen import GenSpec, generate, with_splits
+from hetconv.model import multiply_adds
+from hetconv.train import TrainConfig, build_params
 
 
 def tiny_specs(n=5, seed=0):
@@ -61,6 +69,41 @@ class TestRunScaling:
         assert "r_squared" in blob
         text = tiny_report.to_text()
         assert "linear fit" in text
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """The default ladder's graphs, split as ``run_scaling`` splits them,
+    with default-config parameters."""
+    graphs = [
+        with_splits(generate(spec), TRAIN_FRACTION, seed=spec.seed)
+        for spec in default_scale_specs(0, 6)
+    ]
+    return [(g, build_params(g, TrainConfig())) for g in graphs]
+
+
+class TestWorkCount:
+    def test_each_scale_reports_its_count(self, tiny_report):
+        counts = [s.multiply_adds for s in tiny_report.scales]
+        assert all(isinstance(c, int) for c in counts) and counts == sorted(counts)
+        assert [s["multiply_adds"] for s in tiny_report.to_json()["scales"]] == counts
+
+    def test_count_is_linear_in_graph_size(self, ladder):
+        # the paper's quasi-linear cost, stated without timing noise
+        sizes = np.array([g.total_objects() + g.total_links() for g, _ in ladder], dtype=float)
+        counts = np.array([epoch_multiply_adds(g, params) for g, params in ladder], dtype=float)
+        slope, intercept = np.polyfit(sizes, counts, 1)
+        residuals = counts - (slope * sizes + intercept)
+        r_squared = 1.0 - np.sum(residuals**2) / np.sum((counts - counts.mean()) ** 2)
+        assert r_squared >= 0.999
+        ratios = counts[1:] / counts[:-1]
+        assert ((1.9 <= ratios) & (ratios <= 2.1)).all(), ratios
+
+    def test_train_rows_cost_at_most_six_tenths_of_every_row(self, ladder):
+        g, params = ladder[-1]  # dblp_spec(7520)
+        every = multiply_adds(params, g, ["A"])
+        train = multiply_adds(params, g, {"A": g.splits["A"]["train"]})
+        assert train <= 0.6 * every
 
 
 class TestBenchReportInvariants:

@@ -11,6 +11,7 @@ from hetconv.graph import (
     induced_subgraph,
     normalized_adjacency,
     row_normalize,
+    row_plan,
     validate_graph,
 )
 
@@ -92,6 +93,66 @@ class TestLiveBlocks:
     def test_unknown_type_named_in_error(self, dblp_schema):
         with pytest.raises(KeyError, match="X"):
             dblp_schema.live_blocks(["A", "X"], 2)
+
+
+class TestRowPlan:
+    """A chain: B2 reads A1 and A2, which read B1 and B2."""
+
+    def _graph(self):
+        dense = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 2, 1, 0], [0, 0, 0, 1]])
+        ab, ba = adj_from_dense(dense), adj_from_dense(dense.T)
+        return HinGraph(
+            schema=Schema(("A", "B"), (("A", "B"), ("B", "A"))),
+            adjacency={("A", "B"): ab, ("B", "A"): ba},
+            features={"A": np.ones((4, 2)), "B": np.ones((4, 3))},
+        )
+
+    def test_rows_grow_down_from_the_request(self):
+        g = self._graph()
+        plan = row_plan(g, {"B": [2]}, 3)
+        rows = [{t: b.rows.tolist() for t, b in layer.items()} for layer in plan.blocks]
+        assert rows == [{"A": [1, 2], "B": [1, 2]}, {"A": [1, 2], "B": [2]}, {"B": [2]}]
+        # the features keep every row, so layer 2 picks its rows out of them
+        assert plan.blocks[0]["B"].select.to_dense().tolist() == [[0, 1, 0, 0], [0, 0, 1, 0]]
+        assert plan.blocks[1]["A"].select is None and plan.blocks[2]["B"].select is None
+        assert plan.blocks[1]["B"].select.to_dense().tolist() == [[0, 1]]
+        assert plan.lift["B"].to_dense().tolist() == [[0], [0], [1], [0]]
+
+    def test_each_block_reads_its_rows_of_every_relation(self):
+        g = self._graph()
+        norm = normalized_adjacency(g)
+        plan = row_plan(g, {"B": [2], "A": [0]}, 3)
+        every = {t: np.arange(4) for t in ("A", "B")}
+        for i, layer in enumerate(plan.blocks):
+            below = {t: b.rows for t, b in plan.blocks[i - 1].items()} if i else every
+            for omega, b in layer.items():
+                for gamma, a in b.adjacency.items():
+                    full = norm[(gamma, omega)].to_dense()[b.rows]
+                    kept = np.zeros(4, dtype=bool)
+                    kept[below[gamma]] = True
+                    assert np.array_equal(a.to_dense(), full[:, kept])
+                    assert not full[:, ~kept].any()
+
+    def test_one_plan_per_request(self):
+        g = self._graph()
+        plan = row_plan(g, {"B": np.array([2, 0])}, 2)
+        assert row_plan(g, {"B": [0, 2, 2]}, 2) is plan
+        assert row_plan(g, {"B": [0, 2]}, 3) is not plan
+        names = row_plan(g, ["B"], 2)
+        assert names is row_plan(g, ("B",), 2) and names is not row_plan(g, {"B": range(4)}, 2)
+        norm = normalized_adjacency(g)
+        for layer in names.blocks:
+            for omega, b in layer.items():
+                assert b.rows is None and b.select is None
+                assert all(a is norm[(gm, omega)] for gm, a in b.adjacency.items())
+        assert names.lift == {"B": None}
+
+    def test_bad_requests(self):
+        g = self._graph()
+        with pytest.raises(ValueError, match=r"type B: index outside \[0, 4\)"):
+            row_plan(g, {"B": [4]}, 2)
+        with pytest.raises(KeyError, match="X"):
+            row_plan(g, {"X": [0]}, 2)
 
 
 class TestSparseAdj:
@@ -338,6 +399,7 @@ class TestDtypeCaches:
             weakref.ref(a._product_csr(np.dtype(np.float32), False).data),
             weakref.ref(normalized_adjacency(g)[("A", "B")]),
             weakref.ref(aggregated_features(g, ("A", "B"), np.float32)),
+            weakref.ref(row_plan(g, {"B": [0]}, 2)),
         ]
         del g, a
         gc.collect()

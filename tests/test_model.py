@@ -16,9 +16,18 @@ from hetconv.autodiff import (
     spmm,
 )
 from hetconv.datagen import dblp_spec, generate, with_splits
-from hetconv.graph import HinGraph, Schema, SparseAdj, normalized_adjacency, row_normalize
+from hetconv import model as model_mod
+from hetconv.graph import (
+    HinGraph,
+    Schema,
+    SparseAdj,
+    normalized_adjacency,
+    row_normalize,
+    row_plan,
+)
 from hetconv.model import (
     aggregates_first,
+    clone_with,
     forward,
     hetero_conv,
     init_params,
@@ -482,25 +491,38 @@ class TestLiveBlocks:
         )
         loss = cross_entropy_loss(h, g.labels, {"A": g.splits["A"]["train"]})
         tape.backward(loss)
-        grads = {
-            k: None if p.grad is None else p.grad.tobytes() for k, p in params.named().items()
-        }
+        grads = {k: p.grad for k, p in params.named().items()}
         params.attach(None)
-        return h, records, loss.value.tobytes(), grads
+        return h, records, loss.value, grads
 
     def test_default_train_pass_matches_every_output(self):
         g, params = dblp_case()
         h, records, loss, grads = self._train_pass(g, params, None)
-        h_all, records_all, loss_all, grads_all = self._train_pass(
-            g, params, g.schema.object_types
+        # the default computes the train rows, as train_step requests them
+        h_rows, _, loss_rows, grads_rows = self._train_pass(
+            g, params, {"A": g.splits["A"]["train"]}
         )
-        assert set(h) == {"A"} and set(h_all) == set(g.schema.object_types)
+        assert set(h) == {"A"}
         assert [set(r) for r in records] == [{"P", "A", "C", "T"}] * 2 + [{"P", "A"}, {"A"}]
-        assert loss == loss_all
-        assert grads == grads_all
+        assert loss.tobytes() == loss_rows.tobytes()
+        assert h["A"].value.tobytes() == h_rows["A"].value.tobytes()
+        assert {k: None if x is None else x.tobytes() for k, x in grads.items()} == {
+            k: None if x is None else x.tobytes() for k, x in grads_rows.items()
+        }
+        # every type computes every row, and the parameter gradients sum
+        # over more rows: in float64 the two agree to rounding
+        for p in params.named().values():
+            p.value = p.value.astype(np.float64)
+        _, _, loss, grads = self._train_pass(g, params, None)
+        h_all, _, loss_all, grads_all = self._train_pass(g, params, g.schema.object_types)
+        assert set(h_all) == set(g.schema.object_types)
+        assert abs(loss - loss_all).max() <= 1e-12 * abs(loss_all).max()
+        for name, grad in grads.items():
+            if grad is not None:
+                assert np.abs(grad - grads_all[name]).max() <= 1e-12 * np.abs(grads_all[name]).max()
         # the dead blocks get no gradient on either route
         for name in ("L5_P_self", "L5_T_q", "L4_C_self", "L4_T_rel_P"):
-            assert grads[name] is None
+            assert grads[name] is None and grads_all[name] is None
         assert grads["L5_A_self"] is not None and grads["L4_P_rel_C"] is not None
 
     def test_eval_outputs_compute_the_same_values(self):
@@ -511,6 +533,7 @@ class TestLiveBlocks:
         assert some["A"].value.tobytes() == full["A"].value.tobytes()
         for layer, layer_full in zip(records, records_full):
             for omega, att in layer.items():
+                assert len(att) == g.n_objects(omega)
                 assert att.tobytes() == layer_full[omega].tobytes()
 
     def test_unknown_output_type(self, toy_graph):
@@ -539,6 +562,134 @@ class TestLiveBlocks:
         assert [set(r) for r in records] == [{"A", "B"}, {"A", "B"}, {"B"}]
         h_all, _ = forward(params, g, rng=rng_mod.stream(1, "d"), outputs=schema.object_types, **kw)
         assert h_b["B"].value.tobytes() == h_all["B"].value.tobytes()
+
+
+def _close(got, want):
+    """Equal within 1e-12 of ``want``'s largest magnitude."""
+    return np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
+class TestRowPlan:
+    def _two_label_case(self):
+        """``dblp_case`` with labels on P too, whose train part is empty,
+        and float64 parameters."""
+        g, _ = dblp_case()
+        n_p = g.n_objects("P")
+        g = dataclass_replace(
+            g,
+            labels={**g.labels, "P": np.arange(n_p) % 3},
+            class_counts={**g.class_counts, "P": 3},
+            splits={**g.splits, "P": {"train": np.array([], dtype=np.int64),
+                                      "val": np.arange(0, n_p, 4)}},
+        )
+        params = build_params(g, TrainConfig(seed=2))
+        for p in params.named().values():
+            p.value = p.value.astype(np.float64)
+        return g, params
+
+    def _pass(self, g, params, outputs, loss_rows):
+        tape = Tape()
+        params.attach(tape)
+        h, records = forward(
+            params, g, mode="train", rng=rng_mod.stream(3, "drop"), dropout_rate=0.5,
+            outputs=outputs,
+        )
+        loss = cross_entropy_loss(h, g.labels, loss_rows)
+        tape.backward(loss)
+        grads = {k: p.grad for k, p in params.named().items()}
+        params.attach(None)
+        return h, records, loss.value[0, 0], grads
+
+    def test_mapping_pass_matches_every_row_pass_in_float64(self):
+        g, params = self._two_label_case()
+        rows = {t: g.splits[t]["train"] for t in ("A", "P")}
+        h, records, loss, grads = self._pass(g, params, rows, rows)
+        h_all, records_all, loss_all, grads_all = self._pass(g, params, ["A", "P"], rows)
+        for t, idx in rows.items():
+            assert h[t].shape == h_all[t].shape
+            assert _close(h[t].value[idx], h_all[t].value[idx])
+            outside = np.ones(g.n_objects(t), dtype=bool)
+            outside[idx] = False
+            assert not h[t].value[outside].any()
+        plan = row_plan(g, rows, params.n_layers - 1)
+        assert [list(r) for r in records] == [list(r) for r in records_all]
+        for layer, layer_all, blocks in zip(records, records_all, plan.blocks):
+            for omega, att in layer.items():
+                r = blocks[omega].rows
+                want = layer_all[omega] if r is None else layer_all[omega][r]
+                assert att.shape == want.shape and _close(att, want)
+        # the plan leaves rows out, P computes none at the top
+        assert len(plan.blocks[-1]["P"].rows) == 0
+        assert len(plan.blocks[-2]["P"].rows) < g.n_objects("P")
+        assert _close(loss, loss_all)
+        for name, grad in grads_all.items():
+            assert (grads[name] is None) == (grad is None), name
+            if grad is not None:
+                assert _close(grads[name], grad), name
+
+    def test_train_default_without_a_train_split_is_every_labeled_row(self):
+        g = bipartite_graph(6, 5, 3, 2, seed=1)  # labels on B, no splits
+        params = toy_params(g)
+        h, records = forward(params, g, mode="train")
+        h_b, _ = forward(params, g, mode="train", outputs=["B"])
+        assert set(h) == {"B"} and h["B"].value.tobytes() == h_b["B"].value.tobytes()
+        assert all(len(att) == g.n_objects(t) for layer in records for t, att in layer.items())
+
+    def test_gradcheck_through_the_gathers_and_the_scatter(self):
+        g = bipartite_graph(12, 10, 3, 2, seed=5, edge_prob=0.15)
+        rows = {"B": np.array([1, 6])}
+        cfg = TrainConfig(layer_widths=(3, 3, 2), d_a=2, seed=0)
+        params = build_params(g, cfg)
+        plan = row_plan(g, rows, params.n_layers - 1)
+        reads = [b for layer in plan.blocks for b in layer.values()]
+        assert any(b.select is not None for b in reads) and plan.lift["B"] is not None
+        assert any(
+            a is not normalized_adjacency(g)[(gm, omega)]
+            for layer in plan.blocks
+            for omega, b in layer.items()
+            for gm, a in b.adjacency.items()
+        )
+        values = {k: p.value for k, p in params.named().items()}
+
+        def f(leaves):
+            model = clone_with(params, g.schema, leaves)
+            h, _ = forward(
+                model, g, mode="train", rng=rng_mod.stream(1, "drop"), dropout_rate=0.5,
+                outputs=rows,
+            )
+            return cross_entropy_loss(h, g.labels, rows)
+
+        report = gradcheck(f, values, tol=1e-5)
+        assert report.passed, f"max rel err {report.max_rel_err:.2e}"
+        # the end-to-end check's loss covers the labeled objects only
+        partly = dataclass_replace(g, labels={"B": np.where(np.arange(10) % 4, -1, g.labels["B"])})
+        report = model_loss_gradcheck(partly, cfg)
+        assert report.passed, f"max rel err {report.max_rel_err:.2e}"
+        assert row_plan(partly, {"B": [0, 4, 8]}, 3).lift["B"] is not None
+
+    def test_projections_are_released_once_read(self, monkeypatch):
+        import gc
+        import weakref
+
+        g, params = dblp_case()
+        projections = []
+
+        def watched(a, b, out=None):
+            z = matmul(a, b, out=out)
+            if out is None:  # only a relation that projects first writes no slab
+                projections.append(weakref.ref(z.value))
+            return z
+
+        monkeypatch.setattr(model_mod, "matmul", watched)
+        tape = Tape()
+        params.attach(tape)
+        h, _ = forward(params, g, mode="train", rng=rng_mod.stream(0, "drop"), dropout_rate=0.5)
+        gc.collect()
+        assert projections and all(ref() is None for ref in projections)
+        tape.backward(cross_entropy_loss(h, g.labels, {"A": g.splits["A"]["train"]}))
+        # the relations still train: L2's P block projects A, C and T first
+        assert all(params.layers[0]["P"].w_rel[gm].grad is not None for gm in ("A", "C", "T"))
+        params.attach(None)
 
 
 class TestCachedAggregation:
