@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,3 +224,92 @@ class TestSpecFromJson:
         assert spec.counts["C"] == 20
         g = generate(spec)
         assert validate_graph(g) == []
+
+
+def _graph_digest(g) -> str:
+    """sha256 over the schema, each relation's shape and CSR arrays, the
+    features and the labels; index arrays hash as int64 so scipy's choice
+    of index dtype does not enter."""
+    h = hashlib.sha256(json.dumps(g.schema.to_json()).encode())
+
+    def add(a, dtype):
+        a = np.ascontiguousarray(a, dtype=dtype)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+
+    for rel in sorted(g.adjacency):
+        adj = g.adjacency[rel]
+        h.update(repr((rel, adj.n_rows, adj.n_cols)).encode())
+        add(adj.indptr, np.int64)
+        add(adj.indices, np.int64)
+        add(adj.weights, np.float64)
+    for t in sorted(g.features):
+        h.update(t.encode())
+        add(g.features[t], np.float64)
+    for t in sorted(g.labels):
+        h.update(t.encode())
+        add(g.labels[t], np.int64)
+    return h.hexdigest()
+
+
+# the criterion-6 graph of the acceptance gate
+PLANTED_EDGES = (
+    EdgeSpec("P", "C", DegreeSpec(dist="const", value=1)),
+    EdgeSpec("A", "P", DegreeSpec(dist="powerlaw", exponent=2.0, min_degree=4, max_degree=40)),
+    EdgeSpec("P", "T", DegreeSpec(dist="powerlaw", exponent=2.5, min_degree=1, max_degree=40)),
+)
+
+
+def _planted(seed):
+    return GenSpec(
+        counts={"A": 800, "P": 2500, "C": 20, "T": 1680},
+        n_classes=4, noise=0.05, seed=seed, edges=PLANTED_EDGES,
+    )
+
+
+# degrees above the pool: P->T windows (45 of 30) clamp and wrap around the
+# permutation, and P->C's extra same-class parents (4 of a 2-object class)
+# clamp inside the planted hop
+CLAMPED = GenSpec(
+    counts={"A": 60, "P": 200, "C": 8, "T": 30},
+    n_classes=4, seed=2, feature_dim=8,
+    edges=(
+        EdgeSpec("P", "C", DegreeSpec(dist="const", value=5)),
+        EdgeSpec("A", "P", DegreeSpec(dist="powerlaw", exponent=2.0, min_degree=1, max_degree=30)),
+        EdgeSpec("P", "T", DegreeSpec(dist="const", value=45)),
+    ),
+)
+
+# fewer target objects than classes: two classes have no A members, and
+# their (empty) windows still draw
+EMPTY_CLASSES = GenSpec(counts={"A": 2, "P": 40, "C": 4, "T": 10}, n_classes=4, seed=5, feature_dim=4)
+
+GOLDEN = [
+    ("dblp60-seed0", dblp_spec(60, seed=0),
+     "f3d7fed445a638a1e75934147d3e78a181ab4cbc1cd9ee0d8391e7af2b8943da"),
+    ("dblp60-seed1", dblp_spec(60, seed=1),
+     "8374cb936ad9ed2187ee2115cefa9e138275f8fcc56c8ee167bd05059f5cd188"),
+    ("dblp235-seed0", dblp_spec(235, seed=0),
+     "5aa6cfbf52b6fa9ef374cf4b5de74247f9086dcc7141807da7f772d6841cf3aa"),
+    ("dblp235-seed1", dblp_spec(235, seed=1),
+     "0df01d3be4bb7f1eea7c24aee63349d0f6c6598deea688fc58b280176f1aca02"),
+    ("planted-seed0", _planted(0),
+     "c0fafdc49a9914f37765cb5e6de79e6c95733a573d5ae5a47234d22df8d19b6a"),
+    ("planted-seed22001", _planted(22001),
+     "00c5b074128031592f1f716910fd43f00818f2fe087b8e44a37180824ac088f4"),
+    ("planted-seed1375952737001", _planted(1375952737001),
+     "ef0ece0951410b7505a86282c232b2b7b00d998f0014d3e51a1b1738a1ea1195"),
+    ("clamped-wrapped", CLAMPED,
+     "fbe841e24ff3e797db04a1637c995ab982f0a61b9c6b1608b2062ec1e306fa05"),
+    ("empty-classes", EMPTY_CLASSES,
+     "e55a6c5524887ee083acdfe76c11385dc09cb33217d0fef3574b5845a8b5c423"),
+    ("noise0.2-informative", small_spec(seed=7, noise=0.2, informative_features=True),
+     "439776792c093dad630f340e4497d09dc69f46e8e4ba6b88752e5d683017f540"),
+]
+
+
+@pytest.mark.parametrize("spec, want", [pytest.param(s, d, id=i) for i, s, d in GOLDEN])
+def test_generated_graphs_match_golden_digests(spec, want):
+    """A generated graph is a pure function of its spec: any change to the
+    wiring, the draws or their order shows up here."""
+    assert _graph_digest(generate(spec)) == want
