@@ -43,12 +43,14 @@ class DegreeSpec:
         checked_finite("exponent", self.exponent)
         for name in ("min_degree", "max_degree", "value"):
             object.__setattr__(self, name, checked_integer(name, getattr(self, name), 1))
+        if self.dist == "powerlaw" and self.min_degree > self.max_degree:
+            raise ValueError(
+                f"min_degree must be <= max_degree, got {self.min_degree} > {self.max_degree}"
+            )
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.dist == "const":
             return np.full(n, self.value, dtype=np.int64)
-        if self.min_degree > self.max_degree:
-            raise ValueError("need 1 <= min_degree <= max_degree")
         values = np.arange(self.min_degree, self.max_degree + 1)
         weights = values.astype(np.float64) ** -self.exponent
         return rng.choice(values, size=n, p=weights / weights.sum())
@@ -95,19 +97,38 @@ class GenSpec:
             raise ValueError(
                 f"informative_features must be true or false, got {self.informative_features!r}"
             )
-        for t in self.schema.object_types:
+        types = self.schema.object_types
+        for t in types:
             if t not in self.counts:
                 raise ValueError(f"type {t}: needs a positive object count")
             self.counts[t] = checked_integer(f"counts[{t!r}]", self.counts[t], 1)
+        for t in self.counts:
+            if t not in types:
+                raise ValueError(f"counts[{t!r}]: {t!r} is not a declared type")
         if len(set(self.planted_path)) != len(self.planted_path):
             raise ValueError("planted path types must be distinct")
         for a, b in zip(self.planted_path, self.planted_path[1:]):
             if (a, b) not in self.schema.relations:
                 raise ValueError(f"planted path uses undeclared relation ({a}, {b})")
-        wired = {(e.picker, e.picked) for e in self.edges}
-        wired |= {(e.picked, e.picker) for e in self.edges}
+        # each declared relation is wired by exactly one edge spec, in
+        # either direction: generate builds the declared directions from it
+        declared = {frozenset(rel) for rel in self.schema.relations}
+        wired: dict[frozenset, int] = {}
+        for i, e in enumerate(self.edges):
+            for role, t in (("picker", e.picker), ("picked", e.picked)):
+                if t not in types:
+                    raise ValueError(f"edges[{i}]: {role} {t!r} is not a declared type")
+            pair = frozenset((e.picker, e.picked))
+            if pair not in declared:
+                raise ValueError(
+                    f"edges[{i}]: no relation between {e.picker} and {e.picked} is declared"
+                )
+            if pair in wired:
+                raise ValueError(f"edges[{i}]: {e.picker} and {e.picked} are "
+                                 f"already wired by edges[{wired[pair]}]")
+            wired[pair] = i
         for rel in self.schema.relations:
-            if rel not in wired:
+            if frozenset(rel) not in wired:
                 raise ValueError(f"relation {rel} has no edge spec")
 
 
@@ -122,25 +143,28 @@ def dblp_spec(n_authors: int, seed: int = 0, **overrides) -> GenSpec:
     return GenSpec(counts=counts, seed=seed, **overrides)
 
 
-def _windows(pool: np.ndarray, sizes: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-    """Consecutive windows of a permuted pool, one per requested size.
+def _window_edges(
+    pool: np.ndarray, owners: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edges from each owner to one window of a permuted pool, as
+    ``(owner, pick)`` arrays.
 
-    Each window has distinct entries (sizes are clamped to the pool size);
-    windows cycle through the permutation so usage stays balanced.
+    The windows are consecutive slices of one cyclic permutation: each
+    starts where the last ended and wraps around the end, so usage stays
+    balanced. Sizes are clamped to the pool size, so a window's entries
+    are distinct.
     """
     perm = rng.permutation(pool)
-    n = len(perm)
-    out = []
-    pos = 0
-    for size in sizes:
-        size = int(min(size, n))
-        end = pos + size
-        if end <= n:
-            out.append(perm[pos:end])
-        else:
-            out.append(np.concatenate([perm[pos:], perm[: end - n]]))
-        pos = end % n
-    return out
+    sizes = np.minimum(sizes, len(perm))
+    return np.repeat(owners, sizes), perm[np.arange(sizes.sum()) % len(perm)]
+
+
+def _distinct(edges: list[tuple[np.ndarray, np.ndarray]], n_cols: int):
+    """The distinct ``(row, col)`` pairs of ``(rows, cols)`` edge lists,
+    sorted by row and then column."""
+    rows, cols = (np.concatenate(part) for part in zip(*edges))
+    keys = np.unique(rows * n_cols + cols)
+    return keys // n_cols, keys % n_cols
 
 
 def generate(spec: GenSpec) -> HinGraph:
@@ -150,6 +174,10 @@ def generate(spec: GenSpec) -> HinGraph:
     types (a documented convention, so oracles can recover anchor classes
     without extra metadata); intermediate path types inherit the class of
     their primary parent.
+
+    Each wiring step permutes a pool of picked objects once and deals its
+    pickers consecutive slices of that cyclic permutation (see
+    ``_window_edges``). Only the relations the schema declares are built.
     """
     schema = spec.schema
     k = spec.n_classes
@@ -164,7 +192,7 @@ def generate(spec: GenSpec) -> HinGraph:
         target: np.arange(counts[target]) % k,
     }
     planted_hops = {(path[i + 1], path[i]): i for i in range(len(path) - 1)}
-    edge_lists: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+    adjacency: dict[tuple[str, str], SparseAdj] = {}
 
     # wire planted hops from the anchor outward so parent classes exist
     ordered = sorted(
@@ -173,6 +201,7 @@ def generate(spec: GenSpec) -> HinGraph:
     )
     for e in ordered:
         n_picker, n_picked = counts[e.picker], counts[e.picked]
+        pickers, all_picked = np.arange(n_picker), np.arange(n_picked)
         rng = rng_mod.stream(spec.seed, "edges", e.picker, e.picked)
         degrees = e.degree.sample(n_picker, rng)
         if (e.picker, e.picked) in planted_hops:
@@ -192,50 +221,29 @@ def generate(spec: GenSpec) -> HinGraph:
                         "counts too small to realize degrees: type "
                         f"{e.picked} needs >= {need} objects per class"
                     )
-                picker_class = planted_class[target]
-                picks: list[np.ndarray] = [np.empty(0, np.int64)] * n_picker
-                for c in range(k):
-                    members = np.nonzero(picker_class == c)[0]
-                    for i, w in zip(
-                        members, _windows(pools[c], majority[members], rng)
-                    ):
-                        picks[i] = w
-                rest = _windows(np.arange(n_picked), degrees - majority, rng)
-                combined = [
-                    np.unique(np.concatenate([a, b])) for a, b in zip(picks, rest)
-                ]
-                src = np.concatenate(combined)
-                rows = np.repeat(np.arange(n_picker), [len(c) for c in combined])
+                sizes, picker_class = majority, planted_class[target]
+                edges = []
             else:
                 # intermediate hop: primary parent defines the class,
                 # extra parents stay in the same class so recursive
                 # majority voting remains exact
-                primary = np.concatenate(_windows(np.arange(n_picked), np.ones(n_picker, np.int64), rng))
-                planted_class[e.picker] = parent_classes[primary]
-                extra_sizes = degrees - 1
-                chosen = [np.array([p]) for p in primary]
-                for c in range(k):
-                    members = np.nonzero(planted_class[e.picker] == c)[0]
-                    extras = _windows(pools[c], extra_sizes[members], rng)
-                    for i, w in zip(members, extras):
-                        chosen[i] = np.unique(np.concatenate([chosen[i], w]))
-                src = np.concatenate(chosen)
-                rows = np.repeat(np.arange(n_picker), [len(c) for c in chosen])
+                _, primary = _window_edges(all_picked, pickers, np.ones(n_picker, np.int64), rng)
+                picker_class = planted_class[e.picker] = parent_classes[primary]
+                sizes = degrees - 1
+                edges = [(pickers, primary)]
+            for c in range(k):
+                members = np.nonzero(picker_class == c)[0]
+                edges.append(_window_edges(pools[c], members, sizes[members], rng))
+            if e.picker == target:
+                edges.append(_window_edges(all_picked, pickers, degrees - majority, rng))
+            rows, src = _distinct(edges, n_picked)
         else:
-            windows = _windows(np.arange(n_picked), degrees, rng)
-            src = np.concatenate(windows)
-            rows = np.repeat(np.arange(n_picker), [len(w) for w in windows])
-        edge_lists[(e.picker, e.picked)] = (rows, src)
-
-    adjacency: dict[tuple[str, str], SparseAdj] = {}
-    for (picker, picked), (picker_idx, picked_idx) in edge_lists.items():
-        # relation picked -> picker: rows are picker objects
-        adjacency[(picked, picker)] = SparseAdj.from_edges(
-            counts[picker], counts[picked], picker_idx, picked_idx
-        )
-        adjacency[(picker, picked)] = SparseAdj.from_edges(
-            counts[picked], counts[picker], picked_idx, picker_idx
-        )
+            rows, src = _window_edges(all_picked, pickers, degrees, rng)
+        # relation picked -> picker has the picker objects as rows
+        if (e.picked, e.picker) in schema.relations:
+            adjacency[(e.picked, e.picker)] = SparseAdj.from_edges(n_picker, n_picked, rows, src)
+        if (e.picker, e.picked) in schema.relations:
+            adjacency[(e.picker, e.picked)] = SparseAdj.from_edges(n_picked, n_picker, src, rows)
 
     labels = planted_class[target].copy()
     n_flip = int(np.floor(spec.noise * counts[target]))

@@ -319,6 +319,24 @@ BAD_SPEC_FIELDS = [
     ({**GEN_SPEC, "counts": {**GEN_SPEC["counts"], "C": 2.5}},
      "counts['C'] must be an integer >= 1, got 2.5"),
     ({**GEN_SPEC, "noise": float("nan")}, "noise must be a finite number in [0, 1), got nan"),
+    ({**GEN_SPEC, "edges": [GEN_SPEC["edges"][0], {**GEN_SPEC["edges"][1], "min_degree": 13},
+                            GEN_SPEC["edges"][2]]},
+     "edges[1]: min_degree must be <= max_degree, got 13 > 12"),
+]
+
+# generator specs that generate cannot honour, and the message naming the culprit
+BAD_SPEC_WIRING = [
+    ("count-for-undeclared-type", {**GEN_SPEC, "counts": {**GEN_SPEC["counts"], "Z": 3}},
+     "counts['Z']: 'Z' is not a declared type"),
+    ("edge-picks-undeclared-type",
+     {**GEN_SPEC, "edges": [*GEN_SPEC["edges"], {"picker": "A", "picked": "Z"}]},
+     "edges[3]: picked 'Z' is not a declared type"),
+    ("edge-without-relation",
+     {**GEN_SPEC, "edges": [*GEN_SPEC["edges"], {"picker": "A", "picked": "T"}]},
+     "edges[3]: no relation between A and T is declared"),
+    ("pair-wired-twice",
+     {**GEN_SPEC, "edges": [*GEN_SPEC["edges"], {"picker": "P", "picked": "A"}]},
+     "edges[3]: P and A are already wired by edges[1]"),
 ]
 
 
@@ -334,6 +352,8 @@ def _bad_json_inputs():
         yield pytest.param(
             "generate", json.dumps(spec).encode(), message, id=f"generate-{field}={got}"
         )
+    for case, spec, message in BAD_SPEC_WIRING:
+        yield pytest.param("generate", json.dumps(spec).encode(), message, id=f"generate-{case}")
     schema = {"types": ["A", "P"], "relations": [["A", "P"], ["P", "A"]]}
     blocks_list = {"schema": schema, "transitions": [{"blocks": []}]}
     yield pytest.param(
@@ -412,6 +432,18 @@ class TestGenerate:
         assert "split_A.json" in names
         g = load_graph(data_dir)
         assert g.n_objects("A") == 40
+
+    def test_writes_only_declared_relations(self, tmp_path):
+        # the schema declares (C, P) but not (P, C)
+        schema = {"types": ["P", "A", "C", "T"],
+                  "relations": [["C", "P"], ["A", "P"], ["P", "A"], ["T", "P"], ["P", "T"]]}
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({**GEN_SPEC, "schema": schema}))
+        out = tmp_path / "o"
+        assert cli.main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
+        edges = {p.name for p in out.glob("edges_*.tsv")}
+        assert edges == {f"edges_{a}_{b}.tsv" for a, b in schema["relations"]}
+        assert cli.main(["verify", "--data", str(out)]) == 0
 
     def test_bad_spec_key_exits_usage(self, tmp_path, capsys):
         spec = tmp_path / "s.json"

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetconv.datagen import (
+    DBLP_EDGES,
+    _window_edges,
     DegreeSpec,
     EdgeSpec,
     GenSpec,
@@ -18,7 +20,7 @@ from hetconv.datagen import (
     spec_from_json,
     with_splits,
 )
-from hetconv.graph import validate_graph
+from hetconv.graph import Schema, validate_graph
 
 
 def small_spec(seed=0, noise=0.0, **kw):
@@ -129,6 +131,53 @@ class TestGenerate:
         assert np.array_equal(plain.features["P"], informative.features["P"])
 
 
+# specs generate cannot honour, and the message naming the culprit
+UNWIRABLE_SPECS = [
+    ("count-for-undeclared-type",
+     dict(counts={"A": 60, "P": 200, "C": 8, "T": 100, "Z": 5}),
+     "counts['Z']: 'Z' is not a declared type"),
+    ("edge-picks-undeclared-type",
+     dict(edges=DBLP_EDGES + (EdgeSpec("A", "Z"),)),
+     "edges[3]: picked 'Z' is not a declared type"),
+    ("edge-without-relation",
+     dict(edges=DBLP_EDGES + (EdgeSpec("A", "T"),)),
+     "edges[3]: no relation between A and T is declared"),
+    ("pair-wired-twice",
+     dict(edges=DBLP_EDGES + (EdgeSpec("P", "A"),)),
+     "edges[3]: P and A are already wired by edges[1]"),
+]
+
+
+class TestGenSpecChecks:
+    @pytest.mark.parametrize(
+        "overrides, message", [pytest.param(o, m, id=i) for i, o, m in UNWIRABLE_SPECS]
+    )
+    def test_unwirable_spec_is_rejected(self, overrides, message):
+        with pytest.raises(ValueError) as err:
+            GenSpec(**{"counts": {"A": 60, "P": 200, "C": 8, "T": 100}, **overrides})
+        assert str(err.value) == message
+
+    def test_powerlaw_degree_range_checked_at_construction(self):
+        with pytest.raises(ValueError, match="min_degree must be <= max_degree, got 5 > 3"):
+            DegreeSpec(dist="powerlaw", min_degree=5, max_degree=3)
+
+    def test_const_degree_ignores_the_range(self):
+        assert DegreeSpec(dist="const", value=2, min_degree=5, max_degree=3).value == 2
+
+    def test_one_direction_declared_builds_one_adjacency(self):
+        # (C, P) is declared but (P, C) is not: the P->C edge spec wires
+        # only the declared direction, and the graph validates
+        schema = Schema(
+            object_types=("P", "A", "C", "T"),
+            relations=(("C", "P"), ("A", "P"), ("P", "A"), ("T", "P"), ("P", "T")),
+        )
+        g = generate(small_spec(seed=1, schema=schema))
+        assert set(g.adjacency) == set(schema.relations)
+        assert validate_graph(g) == []
+        full = generate(small_spec(seed=1))
+        assert np.array_equal(g.adjacency[("C", "P")].indices, full.adjacency[("C", "P")].indices)
+
+
 class TestMakeSplits:
     def test_twenty_percent_protocol(self):
         spec = GenSpec(counts={"A": 100, "P": 300, "C": 8, "T": 100}, n_classes=4, seed=0, feature_dim=8)
@@ -224,6 +273,35 @@ class TestSpecFromJson:
         assert spec.counts["C"] == 20
         g = generate(spec)
         assert validate_graph(g) == []
+
+
+def _loop_windows(pool, sizes, rng):
+    """Reference: the per-window loop ``_window_edges`` replaces."""
+    perm = rng.permutation(pool)
+    n, pos, out = len(perm), 0, []
+    for size in sizes:
+        end = pos + int(min(size, n))
+        out.append(perm[pos:end] if end <= n else np.concatenate([perm[pos:], perm[: end - n]]))
+        pos = end % n
+    return out
+
+
+@given(
+    st.integers(1, 12),
+    st.lists(st.integers(0, 30), max_size=20),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_window_edges_match_the_window_loop(n, sizes, seed):
+    """One gather deals the same windows, in the same order and from the
+    same draw, as cutting consecutive slices off the permutation."""
+    pool = np.arange(100, 100 + n)
+    sizes = np.array(sizes, dtype=np.int64)
+    owners = np.arange(len(sizes)) * 7
+    got_owner, got_pick = _window_edges(pool, owners, sizes, np.random.default_rng(seed))
+    windows = _loop_windows(pool, sizes, np.random.default_rng(seed))
+    assert np.array_equal(got_owner, np.repeat(owners, [len(w) for w in windows]))
+    assert np.array_equal(got_pick, np.concatenate([np.empty(0, np.int64), *windows]))
 
 
 def _graph_digest(g) -> str:
