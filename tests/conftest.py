@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from hetconv.datagen import dblp_spec, generate
 from hetconv.graph import HinGraph, Schema, SparseAdj
 from hetconv.interpret import AttentionSummary
+from hetconv.train import TrainConfig, build_params
 
 
 @pytest.fixture
@@ -146,3 +151,23 @@ def dblp_reference_summary(schema: Schema) -> AttentionSummary:
         },
     )
     return AttentionSummary(schema=schema, tables=tables)
+
+
+def six_layer_case(seed: int):
+    """``dblp_spec(60)`` at ``seed`` and a seeded, untrained six-layer
+    model, the widths of the ``explain_per_object`` benchmark's model."""
+    g = generate(dblp_spec(60, seed=seed))
+    return g, build_params(g, TrainConfig(layer_widths=(32, 32, 16, 16, 8), seed=seed))
+
+
+def array_digest(*parts) -> str:
+    """sha256 over ``parts``: each array's dtype, shape and bytes, or a
+    JSON-encodable value's JSON text."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(repr((part.dtype.str, part.shape)).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(json.dumps(part).encode())
+    return h.hexdigest()

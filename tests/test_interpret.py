@@ -19,7 +19,7 @@ from hetconv.interpret import (
 from hetconv.model import forward
 from hetconv.train import TrainConfig, build_params
 
-from conftest import random_hin, dblp_reference_summary
+from conftest import array_digest, dblp_reference_summary, random_hin, six_layer_case
 
 
 # --- brute-force oracles ---------------------------------------------------
@@ -373,6 +373,22 @@ class TestPerObjectMasses:
         totals = masses.sum(axis=1)
         assert len(prefixes) == 2
         assert sorted(zip(-totals, prefixes)) == list(zip(-totals, prefixes))
+
+    # sha256 of (prefixes, masses) for six_layer_case(seed), target A
+    GOLDEN = {
+        0: "ba9c048a1b47f5de2278e05abd80745adb4f1f2218282d84685ce62b782beaab",
+        1: "ddcdd459073b5fb9d8cc154c2989964c7447324449ce0eb4b4b21714d622b53d",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_masses_match_golden_digests(self, seed):
+        """The masses of the pass ``explain`` runs are a pure function of
+        the graph and the parameters."""
+        g, params = six_layer_case(seed)
+        _, records = forward(params, g, outputs=["A"])
+        prefixes, masses = per_object_masses(g, records, "A")
+        assert len(prefixes) == 26
+        assert array_digest([list(p) for p in prefixes], masses) == self.GOLDEN[seed]
 
 
 class TestPerObjectJson:

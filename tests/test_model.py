@@ -27,6 +27,7 @@ from hetconv.graph import (
 )
 from hetconv.model import (
     aggregates_first,
+    multiply_adds,
     clone_with,
     forward,
     hetero_conv,
@@ -45,7 +46,7 @@ from hetconv.train import (
     model_loss_gradcheck,
 )
 
-from conftest import bipartite_graph
+from conftest import array_digest, bipartite_graph, six_layer_case
 
 
 # --- independent dense re-derivation of the layer formulas ----------------
@@ -690,6 +691,38 @@ class TestRowPlan:
         # the relations still train: L2's P block projects A, C and T first
         assert all(params.layers[0]["P"].w_rel[gm].grad is not None for gm in ("A", "C", "T"))
         params.attach(None)
+
+
+class TestGoldenEvalPass:
+    # sha256 of the eval pass's outputs and records for six_layer_case(seed)
+    FORWARD = {
+        0: "79f215989473ed2099e53aa28a40b84c7fac1e82a1babec1f86dcc3ae9d9121c",
+        1: "a6a5a9a29239cf632cf0f2e3affa4257613838324c073c205dd215a9b8545ef3",
+    }
+    # model.multiply_adds of the train and val plans on dblp_spec(235)
+    # with 20% splits and default-config parameters, seeds 0 and 1
+    WORK = {
+        0: (21_033_136, 24_983_632),
+        1: (21_494_624, 23_965_616),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(FORWARD))
+    def test_eval_pass_matches_golden_digests(self, seed):
+        g, params = six_layer_case(seed)
+        h, records = forward(params, g)
+        parts = [(t, z.value) for t, z in h.items()]
+        parts += [(i, omega, att) for i, layer in enumerate(records) for omega, att in layer.items()]
+        assert array_digest(*[x for part in parts for x in part]) == self.FORWARD[seed]
+
+    @pytest.mark.parametrize("seed", sorted(WORK))
+    def test_multiply_adds_of_the_split_plans(self, seed):
+        g = with_splits(generate(dblp_spec(235, seed=seed)), 20.0, seed=seed)
+        params = build_params(g, TrainConfig(seed=seed))
+        work = tuple(
+            multiply_adds(params, g, {t: s[part] for t, s in g.splits.items()})
+            for part in ("train", "val")
+        )
+        assert work == self.WORK[seed]
 
 
 class TestCachedAggregation:
