@@ -363,34 +363,21 @@ def attend(
 _MASK_LEVELS = 1 << 16  # a dropout mask draws uint16 integers
 
 
-def dropout(
-    x: GradMatrix,
-    rate: float,
-    rng: np.random.Generator,
-    rows: np.ndarray | None = None,
-    n_rows: int | None = None,
-) -> GradMatrix:
+def dropout(x: GradMatrix, rate: float, rng: np.random.Generator) -> GradMatrix:
     """Inverted dropout: each entry is dropped with probability ``rate``
     rounded to a multiple of 2^-16 (at most 1 - 2^-16), and survivors are
     scaled by the inverse of the rounded keep probability, so an
     evaluation pass, which applies no dropout, needs no rescaling. The
-    mask compares uint16 draws from ``rng`` against the threshold, a
-    quarter of the random bits of float64 draws. A rate of 0 returns
-    ``x`` without drawing from ``rng``.
-
-    Given ``rows``, ``x`` holds those rows of an ``n_rows``-row matrix:
-    the mask is drawn at that full shape and its ``rows`` are kept, so a
-    row's mask does not depend on which rows are computed."""
+    mask, of ``x``'s shape, compares uint16 draws from ``rng`` against the
+    threshold, a quarter of the random bits of float64 draws. A rate of 0
+    returns ``x`` without drawing from ``rng``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
     # a rate within 2^-17 of 1 rounds to 2^16, which would wrap to 0 in uint16
     threshold = min(round(rate * _MASK_LEVELS), _MASK_LEVELS - 1)
-    shape = x.shape if rows is None else (n_rows, x.shape[1])
-    keep = rng.integers(0, _MASK_LEVELS, size=shape, dtype=np.uint16) >= threshold
-    if rows is not None:
-        keep = keep[rows]
+    keep = rng.integers(0, _MASK_LEVELS, size=x.shape, dtype=np.uint16) >= threshold
     scale = _MASK_LEVELS / (_MASK_LEVELS - threshold)
     out_val = np.multiply(x.value, keep)
     out_val *= scale

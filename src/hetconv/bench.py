@@ -9,7 +9,7 @@ optimizer step) and the validation pass. The first epoch per scale is a
 warmup and is discarded. The summaries, among them a least-squares line
 of median epoch time against |V| + |E| that quantifies how close the
 growth is to linear, are computed from the remaining epochs' seconds
-when read. Each scale also records the multiply-adds of its epoch's two
+when read. Each scale also records the multiply-adds of its epoch's
 forward passes, a count that grows with the work and not with the
 host's noise.
 """
@@ -23,9 +23,9 @@ from typing import Iterator
 import numpy as np
 
 from .datagen import GenSpec, dblp_spec, generate, with_splits
-from .graph import HinGraph
+from .graph import HinGraph, split_rows
 from .model import ModelParams, multiply_adds
-from .train import TrainConfig, build_params, epochs, split_indices
+from .train import TrainConfig, build_params, epochs
 
 TRAIN_FRACTION = 20.0  # percent of each labeled type's objects in the train split
 
@@ -156,11 +156,12 @@ def default_scale_specs(seed: int = 0, n_scales: int = 6) -> list[GenSpec]:
 
 
 def epoch_multiply_adds(g: HinGraph, params: ModelParams) -> int:
-    """The multiply-adds of an epoch's two forward passes
-    (``model.multiply_adds``): the train pass over the train split and the
-    validation pass over the validation split. Deterministic, so the
-    scaling of an epoch's work shows without timing noise."""
-    return sum(multiply_adds(params, g, split_indices(g, part)) for part in ("train", "val"))
+    """The multiply-adds (``model.multiply_adds``) of the passes an epoch
+    of ``train.epochs`` makes over ``graph.split_rows``: train, and val
+    where there are such rows. Deterministic, so the scaling of an
+    epoch's work shows without timing noise."""
+    passes = (split_rows(g, "train"), split_rows(g, "val"))
+    return sum(multiply_adds(params, g, rows) for rows in passes if rows)
 
 
 def run_scaling(

@@ -282,7 +282,12 @@ def cmd_explain(args) -> int:
         # both reports read only the blocks the target's representation reads
         _, records = forward(params, g, mode="eval", outputs=[args.target])
         summary = summarize_attention(records, schema)
-    ranked = score_meta_paths(summary, args.target)
+    try:
+        ranked = score_meta_paths(summary, args.target)
+    except KeyError as err:  # a summary file may lack a block the ranking reads
+        if not args.summary:
+            raise
+        raise DataError(f"bad summary file: {args.summary}: {err.args[0]}") from err
     if args.top_k:
         ranked = ranked[: args.top_k]
     report = {"target": args.target, "global": report_to_json(ranked)}

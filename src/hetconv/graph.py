@@ -309,6 +309,16 @@ class HinGraph:
         return sum(a.nnz for a in self.adjacency.values())
 
 
+def split_rows(g: HinGraph, part: str) -> dict[str, np.ndarray]:
+    """The non-empty ``part`` ("train", "val" or "test") of each labeled
+    type's split, in schema order: the rows a pass over that part reads."""
+    return {
+        t: g.splits[t][part]
+        for t in g.schema.object_types
+        if t in g.labels and len(g.splits.get(t, {}).get(part, ()))
+    }
+
+
 def normalized_adjacency(g: HinGraph) -> Mapping[Relation, SparseAdj]:
     """Every relation's row-normalized adjacency, built on the graph's
     first request and kept with it, like ``HinGraph.features_as``."""
@@ -440,7 +450,7 @@ def _build_row_plan(
         )
     lift = {
         t: None if r is None else SparseAdj.from_edges(g.n_objects(t), len(r), r, np.arange(len(r)))
-        for t, r in rows[-1].items()
+        for t, r in (rows[-1].items() if rows else ())
     }
     return RowPlan(blocks=blocks, lift=lift)
 

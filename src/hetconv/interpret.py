@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graph import HinGraph, Schema, normalized_adjacency
+from .graph import HinGraph, Schema, row_plan
 
 # a dummy-self choice; real self-relations use the type name instead
 Choice = str | None
@@ -211,31 +211,28 @@ def per_object_masses(
     prefix. Prefix masses per object sum to 1 at every layer when nothing
     is truncated and no object is isolated.
 
-    Each layer carries only the types whose prefixes can reach the target
-    (``Schema.live_blocks``), so ``records`` needs only those blocks.
-    When such a type tracks more than ``max_tracked`` prefixes, the
-    lowest-mass prefixes are dropped with a warning stating how many were
-    dropped and their total mass; both count only prefixes that can reach
-    the target, and the kept ones follow in descending total mass, ties
-    in prefix order.
+    Each layer carries only the blocks of the target's ``graph.row_plan``,
+    cached by the ``forward(outputs=[target])`` that gives ``records``,
+    and a relation step reads the block's plan ``adjacency``. When a block
+    tracks more than ``max_tracked`` prefixes, the lowest-mass prefixes
+    are dropped with a warning stating how many were dropped and their
+    total mass; both count only prefixes that can reach the target, and
+    the kept ones follow in descending total mass, ties in prefix order.
     """
-    if target not in g.schema.object_types:
-        raise KeyError(f"unknown object type: {target!r}")
-    norm_adj = normalized_adjacency(g)
+    plan = row_plan(g, (target,), len(records))
     scores: dict[str, dict[tuple[str, ...], np.ndarray]] = {
         t: {(t,): np.ones(g.n_objects(t))} for t in g.schema.object_types
     }
     dropped_mass = 0.0
     dropped_prefixes = 0
-    for layer, live in zip(records, g.schema.live_blocks((target,), len(records))):
+    for layer, blocks in zip(records, plan.blocks):
         new_scores: dict[str, dict[tuple[str, ...], np.ndarray]] = {}
-        for omega in live:
+        for omega, reads in blocks.items():
             att = layer[omega]
             acc: dict[tuple[str, ...], np.ndarray] = {}
             for prefix, mass in scores[omega].items():
                 acc[prefix] = att[:, 0] * mass
-            for j, gamma in enumerate(g.schema.neighbor_types(omega)):
-                a_hat = norm_adj[(gamma, omega)]
+            for j, (gamma, a_hat) in enumerate(reads.adjacency.items()):
                 coeff = att[:, 1 + j]
                 for prefix, mass in scores[gamma].items():
                     pushed = coeff * a_hat.matmul(mass[:, None])[:, 0]

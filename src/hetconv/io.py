@@ -172,8 +172,13 @@ def _load_features(path: Path) -> np.ndarray:
 
 
 def save_graph(directory: Path | str, g: HinGraph) -> None:
+    """Write ``g`` in the layout above, removing first the layout files
+    of a graph saved there before, which ``g`` might not overwrite."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for pattern in ("features_*.npy", "edges_*_*.tsv", "labels_*.tsv", "split_*.json"):
+        for stale in directory.glob(pattern):
+            stale.unlink()
     write_json(directory / "schema.json", g.schema.to_json())
     for t, f in g.features.items():
         with _atomic_open(directory / f"features_{t}.npy", "wb") as out:

@@ -40,6 +40,7 @@ from .graph import (
     normalized_adjacency,
     row_normalize,
     row_plan,
+    split_rows,
 )
 from .io import checked_matrix, load_npz, read_json, save_npz, write_json
 
@@ -271,9 +272,9 @@ def forward(
     have one row per object, and every row outside the request is exactly
     0. ``outputs`` defaults to every type in eval mode. In train mode,
     whose pass only feeds a loss over the train split, it defaults to the
-    rows ``train.epochs`` trains on, ``{t: g.splits[t]["train"]}`` for the
-    labeled types with a train split, and without one to the labeled
-    types' names (``g.labels``; every type if there are none).
+    rows ``train.epochs`` trains on, ``split_rows(g, "train")``, and
+    without any to the labeled types' names (``g.labels``; every type if
+    there are none).
     ``attention_records[i][omega]`` is the attention matrix of block
     ``omega`` at the transition from layer ``i + 1`` to ``i + 2``, for
     each block that transition computed, one row per computed row in
@@ -281,10 +282,10 @@ def forward(
     block's own type, the others follow ``Schema.neighbor_types(omega)``.
 
     In train mode, dropout is applied to every hidden layer's output
-    (never the last layer's). Each (layer, type) draws its mask at full
-    height from its own stream, labeled under one root drawn from
-    ``rng``, and keeps its computed rows, so the masks depend neither on
-    which blocks nor on which rows are computed.
+    (never the last layer's). Each (layer, type) draws its mask from its
+    own stream, labeled under one root drawn from ``rng``, so the masks
+    do not depend on which blocks are computed. A mask covers the rows
+    the plan computes, no more: a pass over other rows draws other masks.
 
     Every pass computes in the parameters' dtype, reading the features
     through ``g.features_as``, so train-mode gradients match the
@@ -307,12 +308,7 @@ def forward(
     if outputs is None:
         outputs = g.schema.object_types
         if training:
-            train_rows = {
-                t: g.splits[t]["train"]
-                for t in g.schema.object_types
-                if t in g.labels and "train" in g.splits.get(t, {})
-            }
-            outputs = train_rows or tuple(g.labels) or outputs
+            outputs = split_rows(g, "train") or tuple(g.labels) or outputs
     plan = row_plan(g, outputs, params.n_layers - 1)
     drop_root = int(rng.integers(2**63)) if training and dropout_rate > 0 else None
     dtype = params.dtype
@@ -355,7 +351,7 @@ def forward(
                 raise ValueError(f"layer {n} block {omega}: {err}") from err
             if drop_root is not None and n < n_layers:
                 stream = rng_mod.stream(drop_root, n, omega)
-                out = dropout(out, dropout_rate, stream, reads.rows, g.n_objects(omega))
+                out = dropout(out, dropout_rate, stream)
             new_h[omega] = out
         h = new_h
         records.append(layer_att)

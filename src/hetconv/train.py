@@ -11,7 +11,7 @@ import numpy as np
 from . import rng as rng_mod
 from .autodiff import GradCheckReport, GradMatrix, Tape, cross_entropy, gradcheck
 # normalized_adjacency is unused here, but hetbench/spans.py patches train's reference
-from .graph import HinGraph, normalized_adjacency, validate_graph  # noqa: F401
+from .graph import HinGraph, normalized_adjacency, split_rows, validate_graph  # noqa: F401
 from .io import checked_finite, checked_integer
 from .model import ModelParams, clone_with, forward, init_params
 
@@ -294,9 +294,10 @@ def train_step(
     The dropout masks come from the stream of ``(cfg.seed, epoch)``, so a
     step is reproducible from its epoch number alone. The forward pass is
     given ``train_idx``, so it computes only the blocks, and in them the
-    rows, that the loss reads (``graph.row_plan``). It is the pass
-    ``forward``'s train-mode default makes, bit for bit, when
-    ``train_idx`` is every labeled type's train part, as in ``epochs``.
+    rows, that the loss reads (``graph.row_plan``), and draws masks for
+    those rows alone. It is the pass ``forward``'s train-mode default
+    makes, bit for bit, when ``train_idx`` is ``split_rows(g, "train")``,
+    as in ``epochs``.
     """
     tape = Tape()
     params.attach(tape)
@@ -333,19 +334,14 @@ def epochs(g: HinGraph, cfg: TrainConfig, params: ModelParams) -> Iterator[dict]
     problems = validate_graph(g)
     if problems:
         raise ValueError("invalid graph: " + "; ".join(problems))
-    labeled = [
-        t
-        for t in g.schema.object_types
-        if t in g.labels and t in g.splits and "train" in g.splits[t]
-    ]
-    if not labeled or all(len(g.splits[t]["train"]) == 0 for t in labeled):
+    train_idx = split_rows(g, "train")
+    if not train_idx:
         raise ValueError("training needs at least one labeled object with splits")
-    train_idx = {t: g.splits[t]["train"] for t in labeled}
-    unused = sorted(set(cfg.loss_weights or ()) - {t for t in labeled if len(train_idx[t])})
+    unused = sorted(set(cfg.loss_weights or ()) - set(train_idx))
     if unused:
         raise ValueError(f"loss_weights name types with no train labels: {unused}")
-    # an empty val part counts as absent: early stopping then follows -loss
-    val_idx = {t: g.splits[t]["val"] for t in labeled if len(g.splits[t].get("val", ()))}
+    # without val rows, early stopping follows -loss
+    val_idx = split_rows(g, "val")
     adam = AdamState.for_params(params.named())
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()

@@ -355,6 +355,16 @@ class TestDropout:
         assert kept.sum() < 20
         assert np.all(out.value[kept] == 2.0**16)
 
+    @pytest.mark.parametrize("rate", [0.3, 0.5, 1 - 2**-20])
+    def test_mask_is_one_draw_of_the_input_shape(self, rate):
+        x = constant(np.random.default_rng(5).normal(size=(37, 6)))
+        out = dropout(x, rate, np.random.default_rng(6))
+        threshold = min(round(rate * 2**16), 2**16 - 1)
+        draws = np.random.default_rng(6).integers(0, 2**16, size=x.shape, dtype=np.uint16)
+        keep = draws >= threshold
+        assert np.array_equal(out.value != 0, keep)
+        assert np.array_equal(out.value[keep], x.value[keep] * (2**16 / (2**16 - threshold)))
+
     def test_fixed_mask_gradient(self):
         # same stream seed on every evaluation: the mask is constant
         fd_check(

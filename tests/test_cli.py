@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetconv import cli
+from hetconv.graph import Schema
 from hetconv.interpret import summary_to_json
 from hetconv.io import load_graph
 
@@ -360,6 +361,17 @@ def _bad_json_inputs():
         "explain", json.dumps(blocks_list).encode(), "'list' object has no attribute 'items'",
         id="explain-blocks-not-an-object",
     )
+    # a well-formed summary without a block that A's ranking reads
+    dblp = Schema(
+        ("P", "A", "C", "T"),
+        (("C", "P"), ("P", "C"), ("A", "P"), ("P", "A"), ("T", "P"), ("P", "T")),
+    )
+    partial = summary_to_json(dblp_reference_summary(dblp))
+    del partial["transitions"][1]["blocks"]["A"]
+    yield pytest.param(
+        "explain", json.dumps(partial).encode(), "summary has no block A at transition 2-3",
+        id="explain-missing-block",
+    )
 
 
 @pytest.mark.parametrize("command, body, message", _bad_json_inputs())
@@ -443,6 +455,19 @@ class TestGenerate:
         assert cli.main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
         edges = {p.name for p in out.glob("edges_*.tsv")}
         assert edges == {f"edges_{a}_{b}.tsv" for a, b in schema["relations"]}
+        assert cli.main(["verify", "--data", str(out)]) == 0
+
+    def test_generating_over_a_graph_leaves_none_of_its_files(self, tmp_path):
+        out = tmp_path / "o"
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(GEN_SPEC))
+        assert cli.main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
+        assert (out / "labels_A.tsv").exists()
+        spec.write_text(json.dumps({**GEN_SPEC, "planted_path": ["C", "P"]}))
+        assert cli.main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
+        g = load_graph(out)
+        assert set(g.labels) == set(g.splits) == {"P"}
+        assert not (out / "labels_A.tsv").exists() and not (out / "split_A.json").exists()
         assert cli.main(["verify", "--data", str(out)]) == 0
 
     def test_bad_spec_key_exits_usage(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from hetconv.graph import (
     normalized_adjacency,
     row_normalize,
     row_plan,
+    split_rows,
     validate_graph,
 )
 
@@ -153,6 +154,39 @@ class TestRowPlan:
             row_plan(g, {"B": [4]}, 2)
         with pytest.raises(KeyError, match="X"):
             row_plan(g, {"X": [0]}, 2)
+
+
+class TestSplitRows:
+    def test_schema_order_non_empty_parts_of_labeled_types(self):
+        schema = Schema(("P", "A", "C", "T"), (("A", "P"), ("P", "A"), ("C", "P"), ("T", "P")))
+        g = HinGraph(
+            schema=schema,
+            adjacency={},
+            features={t: np.zeros((4, 1)) for t in schema.object_types},
+            labels={"T": np.zeros(4), "C": np.zeros(4), "A": np.zeros(4), "P": np.zeros(4)},
+            splits={
+                "T": {"train": [3, 1], "val": [0]},
+                "P": {"train": [], "val": [2]},  # an empty train part
+                "A": {"train": [0, 2]},  # no val part
+                "C": {"val": [1]},  # no train part
+            },
+        )
+        train = split_rows(g, "train")
+        assert list(train) == ["A", "T"]
+        assert train["T"].tolist() == [3, 1] and train["A"].tolist() == [0, 2]
+        assert list(split_rows(g, "val")) == ["P", "C", "T"]
+        assert split_rows(g, "test") == {}
+
+    def test_unlabeled_types_are_skipped(self):
+        schema = Schema(("A", "B"), (("A", "B"), ("B", "A")))
+        g = HinGraph(
+            schema=schema,
+            adjacency={},
+            features={"A": np.zeros((3, 1)), "B": np.zeros((3, 1))},
+            labels={"B": np.zeros(3)},
+            splits={"A": {"train": [0]}, "B": {"train": [1, 2]}},
+        )
+        assert list(split_rows(g, "train")) == ["B"]
 
 
 class TestSparseAdj:

@@ -374,6 +374,11 @@ class TestPerObjectMasses:
         assert len(prefixes) == 2
         assert sorted(zip(-totals, prefixes)) == list(zip(-totals, prefixes))
 
+    def test_no_transitions_leave_the_target_alone(self):
+        g = random_hin(0)
+        prefixes, masses = per_object_masses(g, [], "A")
+        assert prefixes == [("A",)] and masses.tolist() == [[1.0] * g.n_objects("A")]
+
     # sha256 of (prefixes, masses) for six_layer_case(seed), target A
     GOLDEN = {
         0: "ba9c048a1b47f5de2278e05abd80745adb4f1f2218282d84685ce62b782beaab",

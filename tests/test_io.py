@@ -2,10 +2,12 @@ import io as stdio
 import json
 import pickle
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hetconv.datagen import dblp_spec, generate, with_splits
 from hetconv.graph import HinGraph, Schema, SparseAdj, validate_graph
 from hetconv.io import (
     _load_edges,
@@ -166,6 +168,25 @@ class TestGraphRoundTrip:
         assert np.array_equal(back.labels["B"], toy_graph.labels["B"])
         for part in ("train", "val", "test"):
             assert np.array_equal(back.splits["B"][part], toy_graph.splits["B"][part])
+
+    def test_saving_over_a_graph_removes_the_files_it_does_not_write(self, tmp_path, toy_graph):
+        d = tmp_path / "g"
+        dblp = with_splits(generate(dblp_spec(60)), 20.0, seed=0)
+        save_graph(d, dblp)  # labels on A
+        (d / "notes.txt").write_text("not a layout file")
+        labeled_p = with_splits(generate(replace(dblp_spec(60), planted_path=("C", "P"))), 20.0)
+        save_graph(d, labeled_p)
+        back = load_graph(d)
+        assert set(back.labels) == set(back.splits) == {"P"}
+        assert validate_graph(back) == []
+        assert not (d / "labels_A.tsv").exists() and not (d / "split_A.json").exists()
+        # another schema: the DBLP types' features and relations go too
+        save_graph(d, toy_graph)
+        assert {p.name for p in d.iterdir()} == {
+            "schema.json", "notes.txt", "features_A.npy", "features_B.npy",
+            "edges_A_B.tsv", "edges_B_A.tsv", "labels_B.tsv", "split_B.json",
+        }
+        assert np.array_equal(load_graph(d).labels["B"], toy_graph.labels["B"])
 
     def test_parallel_edges_merge_by_summing(self, tmp_path, toy_graph):
         save_graph(tmp_path / "g", toy_graph)

@@ -24,15 +24,16 @@ from hetconv.graph import (
     normalized_adjacency,
     row_normalize,
     row_plan,
+    split_rows,
 )
 from hetconv.model import (
     aggregates_first,
-    multiply_adds,
     clone_with,
     forward,
     hetero_conv,
     init_params,
     load_model,
+    multiply_adds,
     save_model,
     schema_hash,
     spectral_equivalence_check,
@@ -483,11 +484,11 @@ def dblp_case(seed=2):
 
 
 class TestLiveBlocks:
-    def _train_pass(self, g, params, outputs):
+    def _train_pass(self, g, params, outputs, dropout_rate=0.5):
         tape = Tape()
         params.attach(tape)
         h, records = forward(
-            params, g, mode="train", rng=rng_mod.stream(0, "drop"), dropout_rate=0.5,
+            params, g, mode="train", rng=rng_mod.stream(0, "drop"), dropout_rate=dropout_rate,
             outputs=outputs,
         )
         loss = cross_entropy_loss(h, g.labels, {"A": g.splits["A"]["train"]})
@@ -500,9 +501,7 @@ class TestLiveBlocks:
         g, params = dblp_case()
         h, records, loss, grads = self._train_pass(g, params, None)
         # the default computes the train rows, as train_step requests them
-        h_rows, _, loss_rows, grads_rows = self._train_pass(
-            g, params, {"A": g.splits["A"]["train"]}
-        )
+        h_rows, _, loss_rows, grads_rows = self._train_pass(g, params, split_rows(g, "train"))
         assert set(h) == {"A"}
         assert [set(r) for r in records] == [{"P", "A", "C", "T"}] * 2 + [{"P", "A"}, {"A"}]
         assert loss.tobytes() == loss_rows.tobytes()
@@ -511,11 +510,14 @@ class TestLiveBlocks:
             k: None if x is None else x.tobytes() for k, x in grads_rows.items()
         }
         # every type computes every row, and the parameter gradients sum
-        # over more rows: in float64 the two agree to rounding
+        # over more rows: in float64 the two agree to rounding. Dropout
+        # draws a mask per computed row, so the two passes compare without it
         for p in params.named().values():
             p.value = p.value.astype(np.float64)
-        _, _, loss, grads = self._train_pass(g, params, None)
-        h_all, _, loss_all, grads_all = self._train_pass(g, params, g.schema.object_types)
+        _, _, loss, grads = self._train_pass(g, params, None, dropout_rate=0.0)
+        h_all, _, loss_all, grads_all = self._train_pass(
+            g, params, g.schema.object_types, dropout_rate=0.0
+        )
         assert set(h_all) == set(g.schema.object_types)
         assert abs(loss - loss_all).max() <= 1e-12 * abs(loss_all).max()
         for name, grad in grads.items():
@@ -588,11 +590,11 @@ class TestRowPlan:
             p.value = p.value.astype(np.float64)
         return g, params
 
-    def _pass(self, g, params, outputs, loss_rows):
+    def _pass(self, g, params, outputs, loss_rows, dropout_rate=0.5):
         tape = Tape()
         params.attach(tape)
         h, records = forward(
-            params, g, mode="train", rng=rng_mod.stream(3, "drop"), dropout_rate=0.5,
+            params, g, mode="train", rng=rng_mod.stream(3, "drop"), dropout_rate=dropout_rate,
             outputs=outputs,
         )
         loss = cross_entropy_loss(h, g.labels, loss_rows)
@@ -602,10 +604,14 @@ class TestRowPlan:
         return h, records, loss.value[0, 0], grads
 
     def test_mapping_pass_matches_every_row_pass_in_float64(self):
+        # without dropout: a mask covers the computed rows only, so the two
+        # passes draw different masks
         g, params = self._two_label_case()
         rows = {t: g.splits[t]["train"] for t in ("A", "P")}
-        h, records, loss, grads = self._pass(g, params, rows, rows)
-        h_all, records_all, loss_all, grads_all = self._pass(g, params, ["A", "P"], rows)
+        h, records, loss, grads = self._pass(g, params, rows, rows, dropout_rate=0.0)
+        h_all, records_all, loss_all, grads_all = self._pass(
+            g, params, ["A", "P"], rows, dropout_rate=0.0
+        )
         for t, idx in rows.items():
             assert h[t].shape == h_all[t].shape
             assert _close(h[t].value[idx], h_all[t].value[idx])
@@ -627,6 +633,23 @@ class TestRowPlan:
             assert (grads[name] is None) == (grad is None), name
             if grad is not None:
                 assert _close(grads[name], grad), name
+
+    def test_default_train_pass_is_the_split_rows_mapping(self):
+        # P is labeled with an empty train part, which split_rows drops
+        g, params = self._two_label_case()
+        rows = split_rows(g, "train")
+        assert list(rows) == ["A"]
+        h, records, loss, grads = self._pass(g, params, None, rows)
+        h_rows, records_rows, loss_rows, grads_rows = self._pass(g, params, rows, rows)
+        assert set(h) == set(h_rows) == {"A"}
+        assert h["A"].value.tobytes() == h_rows["A"].value.tobytes()
+        assert loss.tobytes() == loss_rows.tobytes()
+        assert [{t: a.tobytes() for t, a in layer.items()} for layer in records] == [
+            {t: a.tobytes() for t, a in layer.items()} for layer in records_rows
+        ]
+        assert {k: None if x is None else x.tobytes() for k, x in grads.items()} == {
+            k: None if x is None else x.tobytes() for k, x in grads_rows.items()
+        }
 
     def test_train_default_without_a_train_split_is_every_labeled_row(self):
         g = bipartite_graph(6, 5, 3, 2, seed=1)  # labels on B, no splits
