@@ -748,6 +748,37 @@ class TestGoldenEvalPass:
         assert work == self.WORK[seed]
 
 
+class TestGoldenMappingPasses:
+    """Digests of the mapping passes ``fit`` makes, on ``dblp_case()``."""
+
+    # sha256 of the train-split pass's loss and every parameter's gradient
+    TRAIN = "99cc93934e34c0f9d2dff705fe89c9c7862af3d3d55292c998677bd968b76f1a"
+    # sha256 of the val-split eval pass's outputs and records
+    EVAL = "f192fd405c58607e2a023ec8da5ac61c8e33281146bae66c28e5328d64d9667a"
+
+    def test_train_pass_matches_golden_digest(self):
+        g, params = dblp_case()
+        rows = split_rows(g, "train")
+        tape = Tape()
+        params.attach(tape)
+        h, _ = forward(
+            params, g, mode="train", rng=rng_mod.stream(0, "drop"), dropout_rate=0.5,
+            outputs=rows,
+        )
+        loss = cross_entropy_loss(h, g.labels, rows)
+        tape.backward(loss)
+        grads = [(k, p.grad) for k, p in params.named().items() if p.grad is not None]
+        params.attach(None)
+        assert array_digest(loss.value, *[x for part in grads for x in part]) == self.TRAIN
+
+    def test_eval_pass_matches_golden_digest(self):
+        g, params = dblp_case()
+        h, records = forward(params, g, outputs=split_rows(g, "val"))
+        parts = [(t, z.value) for t, z in h.items()]
+        parts += [(i, omega, att) for i, layer in enumerate(records) for omega, att in layer.items()]
+        assert array_digest(*[x for part in parts for x in part]) == self.EVAL
+
+
 class TestCachedAggregation:
     def _aggregating_first(self, g, params):
         norm = normalized_adjacency(g)

@@ -386,3 +386,32 @@ class TestEmptyValidation:
             evaluate(params, replace(toy_graph, splits=splits), "val")
         with pytest.raises(ValueError, match="empty split 'dev' for no type"):
             evaluate(params, toy_graph, "dev")
+
+
+class TestGoldenFit:
+    # sha256 of repr([(train_loss, val_micro_f1) per epoch]) followed by
+    # every parameter's bytes in named() order, for a seeded fit on
+    # dblp_spec(235, seed=4) with 20% splits, at feature scale 1 (float32)
+    # and 1e16 (float64)
+    GOLDEN = {
+        1.0: "be298e822b542de37563c7bec75b3e1e38e38e915cbebdd48245b35ec6ba6646",
+        1e16: "bda2c262b79903afca82d4801ed6574c6b754a5ecb34374a849fc02cf7cadb27",
+    }
+
+    @pytest.mark.parametrize("scale", sorted(GOLDEN))
+    def test_seeded_fit_matches_golden_digest(self, scale):
+        import hashlib
+        from dataclasses import replace
+
+        from hetconv.datagen import dblp_spec, generate, with_splits
+
+        g = with_splits(generate(dblp_spec(235, seed=4)), 20.0, seed=4)
+        g = replace(g, features={t: f * scale for t, f in g.features.items()})
+        params, log = fit(g, TrainConfig(seed=4, max_epochs=8, patience=8))
+        assert params.dtype == (np.float32 if scale == 1.0 else np.float64)
+        digest = hashlib.sha256(
+            repr([(r["train_loss"], r["val_micro_f1"]) for r in log]).encode()
+        )
+        for p in params.named().values():
+            digest.update(p.value.tobytes())
+        assert digest.hexdigest() == self.GOLDEN[scale]
