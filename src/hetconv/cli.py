@@ -284,10 +284,13 @@ def cmd_explain(args) -> int:
         summary = summarize_attention(records, schema)
     try:
         ranked = score_meta_paths(summary, args.target)
-    except KeyError as err:  # a summary file may lack a block the ranking reads
-        if not args.summary:
-            raise
-        raise DataError(f"bad summary file: {args.summary}: {err.args[0]}") from err
+    except KeyError as err:  # a block the ranking reads is missing
+        if args.summary:
+            raise DataError(f"bad summary file: {args.summary}: {err.args[0]}") from err
+        # a pass over the data drops only blocks without rows
+        raise DataError(
+            f"data {args.data}: {err.args[0]} (a type without objects has no attention rows)"
+        ) from err
     if args.top_k:
         ranked = ranked[: args.top_k]
     report = {"target": args.target, "global": report_to_json(ranked)}

@@ -6,10 +6,10 @@ and optional integer labels. The containers are frozen dataclasses whose
 fields are set at construction. ``HinGraph`` and ``SparseAdj`` also fill
 caches on first use: a graph its features in another dtype
 (``_features_by_dtype``), its row-normalized adjacency
-(``_normalized_adjacency``), its layer-2 aggregations
-(``_aggregated_features``) and its row plans (``_row_plans``); an
-adjacency its float32 and transposed CSR handles (``_products``). The
-caches take no lock.
+(``_normalized_adjacency``) and its row plans (``_row_plans``), whose
+layer-2 blocks keep their aggregations of the constant features
+(``BlockRows._aggregated``); an adjacency its float32 and transposed CSR
+handles (``_products``). The caches take no lock.
 """
 
 from __future__ import annotations
@@ -75,27 +75,6 @@ class Schema:
         if omega not in self.object_types:
             raise KeyError(f"unknown object type: {omega!r}")
         return [src for src, dst in self.relations if dst == omega]
-
-    def live_blocks(self, outputs: Iterable[str], n_transitions: int) -> list[tuple[str, ...]]:
-        """The blocks each of ``n_transitions`` layer transitions must
-        compute so that the last one yields the ``outputs`` types.
-
-        Walks the schema backward from the outputs: a block reads its own
-        type and its neighbor types one layer below, so each transition
-        needs the blocks of the one above plus their neighbor types.
-        ``live[i]`` lists, in schema order, the block types of the
-        transition from layer ``i + 1`` to ``i + 2``. An unknown type is a
-        KeyError.
-        """
-        need = set(outputs)
-        for t in need:
-            if t not in self.object_types:
-                raise KeyError(f"unknown object type: {t!r}")
-        live = []
-        for _ in range(n_transitions):
-            live.append(tuple(t for t in self.object_types if t in need))
-            need |= {gamma for omega in need for gamma in self.neighbor_types(omega)}
-        return live[::-1]
 
 
 @dataclass(frozen=True)
@@ -261,7 +240,6 @@ class HinGraph:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "_features_by_dtype", {_F64: feats})
         object.__setattr__(self, "_normalized_adjacency", None)
-        object.__setattr__(self, "_aggregated_features", {})
         object.__setattr__(self, "_row_plans", {})
         labels = {
             t: np.asarray(v, dtype=np.int64) for t, v in (self.labels or {}).items()
@@ -328,20 +306,6 @@ def normalized_adjacency(g: HinGraph) -> Mapping[Relation, SparseAdj]:
     return g._normalized_adjacency
 
 
-def aggregated_features(g: HinGraph, rel: Relation, dtype) -> np.ndarray:
-    """``normalized_adjacency(g)[rel] @ g.features_as(dtype)[src]``: the
-    relation's row-normalized aggregation of its source type's features,
-    computed on the graph's first request per relation and dtype and kept
-    with it. The features are constant, so a model layer reading them can
-    take this product instead of recomputing it on every pass."""
-    key = (rel, np.dtype(dtype))
-    product = g._aggregated_features.get(key)
-    if product is None:
-        product = normalized_adjacency(g)[rel].matmul(g.features_as(dtype)[rel[0]])
-        g._aggregated_features[key] = product
-    return product
-
-
 @dataclass(frozen=True)
 class BlockRows:
     """The rows one block computes under a ``RowPlan``, and what it reads.
@@ -352,12 +316,30 @@ class BlockRows:
     same rows. ``adjacency[gamma]`` is the row-normalized relation from
     neighbor type ``gamma`` restricted to ``rows``, its columns renumbered
     to the rows ``gamma`` holds one layer down: the graph's own
-    ``SparseAdj`` where that keeps every row and every column.
+    ``SparseAdj`` where that keeps every row and every column. A layer-2
+    block also keeps its aggregations of the constant features
+    (``aggregated``).
     """
 
     rows: np.ndarray | None
     select: SparseAdj | None
     adjacency: dict[str, SparseAdj]
+    _aggregated: dict[tuple[str, np.dtype], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def aggregated(self, gamma: str, features: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``adjacency[gamma] @ features[gamma]``, where ``features`` are
+        the graph's constant features in some dtype (``features_as``), so
+        for a layer-2 block only: computed on the first request per
+        relation and dtype and kept with the block. A restricted CSR keeps
+        each row's entries in order, so each row is bit-identical to that
+        row of the full product."""
+        key = (gamma, features[gamma].dtype)
+        product = self._aggregated.get(key)
+        if product is None:
+            product = self._aggregated[key] = self.adjacency[gamma].matmul(features[gamma])
+        return product
 
 
 @dataclass(frozen=True)
@@ -383,25 +365,28 @@ def row_plan(
     yields ``outputs``, built on the graph's first request for those
     outputs and kept with it, like ``normalized_adjacency``.
 
-    The blocks are ``Schema.live_blocks(outputs, n_transitions)``.
     ``outputs`` is either type names, whose blocks compute every row, or a
     mapping from type to object indices, taken as a set, whose rows alone
-    the last layer computes. Below it, a type's rows are those the layer
-    above reads: its own rows there (the self term) and every column of
-    the rows of a relation into a block above, so the row sets only grow
-    going down. The input features keep every row. An unknown type is a
-    KeyError, an index outside the type's objects a ValueError.
+    the last layer computes. One walk down from the outputs builds the
+    plan. A transition's blocks are the types whose rows the transition
+    above reads: its blocks' own rows (the self term) and every column of
+    the rows of their relations, so the row sets only grow going down.
+    The input features keep every row. An unknown type is a KeyError, an
+    index outside the type's objects a ValueError.
     """
     names = tuple(outputs)
-    live = g.schema.live_blocks(names, n_transitions)
+    for t in names:
+        if t not in g.schema.object_types:
+            raise KeyError(f"unknown object type: {t!r}")
+    ordered = [t for t in g.schema.object_types if t in names]
     if isinstance(outputs, Mapping):
-        top = {t: _output_rows(g, t, outputs[t]) for t in sorted(names)}
+        top = {t: _output_rows(g, t, outputs[t]) for t in ordered}
         key = (n_transitions, tuple((t, None if r is None else r.tobytes()) for t, r in top.items()))
     else:
-        top, key = None, (n_transitions, frozenset(names))
+        top, key = dict.fromkeys(ordered), (n_transitions, frozenset(ordered))
     plan = g._row_plans.get(key)
     if plan is None:
-        plan = _build_row_plan(g, live, top)
+        plan = _build_row_plan(g, top, n_transitions, every_row=not isinstance(outputs, Mapping))
         g._row_plans[key] = plan
     return plan
 
@@ -416,12 +401,12 @@ def _output_rows(g: HinGraph, t: str, idx) -> np.ndarray | None:
 
 
 def _build_row_plan(
-    g: HinGraph, live: list[tuple[str, ...]], top: Mapping[str, np.ndarray | None] | None
+    g: HinGraph, top: dict[str, np.ndarray | None], n_transitions: int, every_row: bool
 ) -> RowPlan:
-    """The plan whose last layer computes ``top``'s rows, or every row of
-    every live block where ``top`` is None (type names)."""
+    """The plan whose last transition computes ``top``'s rows (None: every
+    row), walking down from it: each transition's blocks are the keys of
+    its rows, and ``_rows_below`` gives the rows of the one below."""
     schema, norm = g.schema, normalized_adjacency(g)
-    rows = _plan_rows(g, live, top)
     # one copy of each distinct restriction: consecutive layers often
     # read a relation at the same rows and columns
     restrictions: dict[tuple, SparseAdj] = {}
@@ -433,52 +418,52 @@ def _build_row_plan(
         return restrictions[key]
 
     blocks = []
-    for i, layer in enumerate(rows):
-        below = rows[i - 1] if i else {}  # layer 1, the features, keeps every row
+    above = top
+    for i in range(n_transitions, 0, -1):
+        # layer 1, the features, keeps every row
+        below = _rows_below(g, above, every_row) if i > 1 else {}
         blocks.append(
             {
                 omega: BlockRows(
-                    rows=layer[omega],
-                    select=_selection(layer[omega], below.get(omega), g.n_objects(omega)),
+                    rows=r,
+                    select=_selection(r, below.get(omega), g.n_objects(omega)),
                     adjacency={
-                        gamma: restricted(gamma, omega, layer[omega], below.get(gamma))
+                        gamma: restricted(gamma, omega, r, below.get(gamma))
                         for gamma in schema.neighbor_types(omega)
                     },
                 )
-                for omega in live[i]
+                for omega, r in above.items()
             }
         )
+        above = below
     lift = {
         t: None if r is None else SparseAdj.from_edges(g.n_objects(t), len(r), r, np.arange(len(r)))
-        for t, r in (rows[-1].items() if rows else ())
+        for t, r in top.items()
     }
-    return RowPlan(blocks=blocks, lift=lift)
+    return RowPlan(blocks=blocks[::-1], lift=lift)
 
 
-def _plan_rows(
-    g: HinGraph, live: list[tuple[str, ...]], top: Mapping[str, np.ndarray | None] | None
-) -> list[dict[str, np.ndarray | None]]:
-    """``rows[i][t]``: the rows of ``t`` that transition ``i`` computes,
-    None for every row."""
-    rows: list[dict[str, np.ndarray | None]] = [dict.fromkeys(layer) for layer in live]
-    if top is None:
-        return rows
+def _rows_below(
+    g: HinGraph, above: Mapping[str, np.ndarray | None], every_row: bool
+) -> dict[str, np.ndarray | None]:
+    """The rows each type holds one layer below blocks that compute
+    ``above``'s rows (None: every row), in schema order: a block's own
+    rows, for its self term, and every column the rows of its relations
+    store; every row of a neighbor type where ``every_row``."""
     schema, norm = g.schema, normalized_adjacency(g)
-    rows[-1] = dict(top)
-    for i in range(len(live) - 1, 0, -1):
-        above = rows[i]
-        for t in live[i - 1]:
-            if t in above and above[t] is None:
-                continue  # its self term reads every row
-            read = np.zeros(g.n_objects(t), dtype=bool)
-            if t in above:
-                read[above[t]] = True
-            for omega, r in above.items():
-                if t in schema.neighbor_types(omega):
-                    csr = norm[(t, omega)]._csr
-                    read[(csr if r is None else csr[r]).indices] = True
-            rows[i - 1][t] = None if read.all() else np.flatnonzero(read)
-    return rows
+    read: dict[str, np.ndarray] = {}
+    for omega, r in above.items():
+        own = read.setdefault(omega, np.zeros(g.n_objects(omega), dtype=bool))
+        own[slice(None) if r is None else r] = True
+        for gamma in schema.neighbor_types(omega):
+            cols = read.setdefault(gamma, np.zeros(g.n_objects(gamma), dtype=bool))
+            csr = norm[(gamma, omega)]._csr
+            cols[slice(None) if every_row else (csr if r is None else csr[r]).indices] = True
+    return {
+        t: None if read[t].all() else np.flatnonzero(read[t])
+        for t in schema.object_types
+        if t in read
+    }
 
 
 def _selection(rows: np.ndarray | None, below: np.ndarray | None, n: int) -> SparseAdj | None:

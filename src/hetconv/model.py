@@ -36,7 +36,6 @@ from .graph import (
     Relation,
     Schema,
     SparseAdj,
-    aggregated_features,
     normalized_adjacency,
     row_normalize,
     row_plan,
@@ -265,10 +264,10 @@ def forward(
     types and the attention records.
 
     ``outputs`` is type names or a mapping from type to object indices.
-    Only the blocks the outputs read are computed (``Schema.live_blocks``),
-    and each of them only at the rows its ``graph.row_plan`` lists: every
-    row for type names; for a mapping, the rows the layer above reads,
-    down from the requested ones. A mapping's final representations still
+    Only the blocks the outputs read are computed, and each of them only
+    at the rows its ``graph.row_plan`` lists: every row for type names;
+    for a mapping, the rows the layer above reads, down from the
+    requested ones. A mapping's final representations still
     have one row per object, and every row outside the request is exactly
     0. ``outputs`` defaults to every type in eval mode. In train mode,
     whose pass only feeds a loss over the train split, it defaults to the
@@ -291,19 +290,18 @@ def forward(
     through ``g.features_as``, so train-mode gradients match the
     parameters. The attention records are float64 whatever that dtype.
     A block aggregates through the graph's own ``normalized_adjacency``,
-    and layer 2 takes its aggregations of the constant features from
-    ``graph.aggregated_features``, the rows it computes of each relation
-    that a pass over every row aggregates first: so the graph keeps the
-    same products whatever rows its passes compute. ``norm_adj`` must be
-    None or that same mapping; any other is a ValueError.
+    restricted to its rows. At layer 2, each relation that
+    ``aggregates_first`` on that restriction takes its aggregation of the
+    constant features from the plan (``BlockRows.aggregated``), which
+    keeps it for the plan's later passes. ``norm_adj`` must be None or
+    the graph's ``normalized_adjacency``; any other is a ValueError.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     training = mode == "train"
     if training and dropout_rate > 0 and rng is None:
         raise ValueError("train-mode dropout needs an rng stream")
-    adjacency = normalized_adjacency(g)
-    if norm_adj is not None and norm_adj is not adjacency:
+    if norm_adj is not None and norm_adj is not normalized_adjacency(g):
         raise ValueError("norm_adj must be None or normalized_adjacency(g) of the same graph")
     if outputs is None:
         outputs = g.schema.object_types
@@ -311,8 +309,7 @@ def forward(
             outputs = split_rows(g, "train") or tuple(g.labels) or outputs
     plan = row_plan(g, outputs, params.n_layers - 1)
     drop_root = int(rng.integers(2**63)) if training and dropout_rate > 0 else None
-    dtype = params.dtype
-    feats = g.features_as(dtype)
+    feats = g.features_as(params.dtype)
     h = {}
     for t in g.schema.object_types:
         feat = feats[t]
@@ -330,16 +327,13 @@ def forward(
         for omega, reads in layer_plan.items():
             block = blocks[omega]
             h_self = h[omega] if reads.select is None else spmm(reads.select, h[omega])
-            # layer 2 reads the constant features, whose aggregations the
-            # graph keeps; the restriction of a relation that aggregates
-            # first also does: it keeps every column, and fewer rows and
-            # links only favour aggregating first
+            # layer 2 reads the constant features, whose aggregations its plan keeps
             aggregated = None
             if n == 2:
                 aggregated = {
-                    gm: _rows_of(aggregated_features(g, (gm, omega), dtype), reads.rows)
+                    gm: reads.aggregated(gm, feats)
                     for gm, w in block.w_rel.items()
-                    if aggregates_first(adjacency[(gm, omega)], *w.shape)
+                    if aggregates_first(reads.adjacency[gm], *w.shape)
                 }
             maps = () if params.mean_variant else (block.w_k, block.w_q, block.w_a)
             try:
@@ -357,11 +351,6 @@ def forward(
         records.append(layer_att)
     h = {t: z if plan.lift[t] is None else spmm(plan.lift[t], z) for t, z in h.items()}
     return h, records
-
-
-def _rows_of(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """``x``'s ``rows``; ``x`` itself for None (every row)."""
-    return x if rows is None else x[rows]
 
 
 def multiply_adds(

@@ -180,17 +180,15 @@ def classification_metrics(
 
 
 def split_indices(g: HinGraph, split: str | Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The non-empty index arrays per type of a split, given by name or as
-    an index map; a ValueError names the split if nothing is left."""
+    """The non-empty index arrays per type of a split, given by name
+    (``graph.split_rows``) or as an index map; a ValueError names the
+    split if nothing is left."""
     if isinstance(split, str):
-        name = f"split {split!r}"
-        parts = {
-            t: g.splits[t][split] for t in g.splits if split in g.splits[t]
-        }
+        name, parts = f"split {split!r}", split_rows(g, split)
+        types = sorted(t for t, named in g.splits.items() if split in named)
     else:
-        name, parts = "split", dict(split)
-    types = sorted(parts)
-    parts = {t: np.asarray(v, dtype=np.int64) for t, v in parts.items() if len(v)}
+        name, types = "split", sorted(split)
+        parts = {t: np.asarray(v, dtype=np.int64) for t, v in split.items() if len(v)}
     if not parts:
         where = f"types {types}" if types else "no type"
         raise ValueError(f"empty {name} for {where}: nothing to evaluate")

@@ -711,6 +711,44 @@ class TestExplain:
             in capsys.readouterr().err
         )
 
+    def test_block_of_a_type_without_objects_exits_data(self, tmp_path, capsys):
+        """A type with no objects gives its blocks no attention rows, so a
+        ranking that reads one has nothing to read."""
+        from dataclasses import replace
+
+        from hetconv.datagen import dblp_spec, generate, with_splits
+        from hetconv.graph import SparseAdj
+        from hetconv.io import save_graph
+
+        g = with_splits(generate(dblp_spec(40)), 40.0)
+        n_p = g.n_objects("P")
+        g = replace(
+            g,
+            features={**g.features, "T": np.zeros((0, g.features["T"].shape[1]))},
+            adjacency={
+                **g.adjacency,
+                ("T", "P"): SparseAdj.from_edges(n_p, 0, [], []),
+                ("P", "T"): SparseAdj.from_edges(0, n_p, [], []),
+            },
+        )
+        data = tmp_path / "data"
+        save_graph(data, g)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            json.dumps({**TRAIN_CFG, "layer_widths": [8, 8, 4], "max_epochs": 3, "patience": 3})
+        )
+        run = tmp_path / "run"
+        assert quiet_main(["train", "--data", str(data), "--config", str(cfg),
+                           "--out", str(run)]) == 0
+        code = cli.main(
+            ["explain", "--model", str(run / "model"), "--data", str(data), "--target", "A"]
+        )
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: data {data}: summary has no block T at transition 1-2 "
+            "(a type without objects has no attention rows)\n"
+        )
+
     def test_unknown_target_nonzero(self, tmp_path, dblp_schema, capsys):
         summary_path = tmp_path / "summary.json"
         summary_path.write_text(json.dumps(summary_to_json(dblp_reference_summary(dblp_schema))))

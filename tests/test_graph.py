@@ -7,7 +7,6 @@ from hetconv.graph import (
     HinGraph,
     Schema,
     SparseAdj,
-    aggregated_features,
     induced_subgraph,
     normalized_adjacency,
     row_normalize,
@@ -71,29 +70,43 @@ class TestNeighborTypes:
             assert got == want
 
 
+def _blocks(schema, outputs, n_transitions):
+    """The block types of each transition of ``row_plan`` on a graph of
+    ``schema`` with two objects per type and every relation complete."""
+    full = SparseAdj.from_edges(2, 2, [0, 0, 1, 1], [0, 1, 0, 1])
+    g = HinGraph(
+        schema=schema,
+        adjacency=dict.fromkeys(schema.relations, full),
+        features={t: np.ones((2, 1)) for t in schema.object_types},
+    )
+    return [tuple(layer) for layer in row_plan(g, outputs, n_transitions).blocks]
+
+
 class TestLiveBlocks:
+    """The blocks of a ``RowPlan``: the keys of each transition's rows."""
+
     def test_dblp_author_outputs(self, dblp_schema):
         # A reads only P, and P reads every type
-        assert dblp_schema.live_blocks(["A"], 4) == [
-            ("P", "A", "C", "T"),
-            ("P", "A", "C", "T"),
-            ("P", "A"),
-            ("A",),
-        ]
+        live = [("P", "A", "C", "T"), ("P", "A", "C", "T"), ("P", "A"), ("A",)]
+        assert _blocks(dblp_schema, ["A"], 4) == live
+        assert _blocks(dblp_schema, {"A": [1]}, 4) == live
 
     def test_every_type_keeps_every_block(self, dblp_schema):
         every = dblp_schema.object_types
-        assert dblp_schema.live_blocks(every, 3) == [every] * 3
+        assert _blocks(dblp_schema, every, 3) == [every] * 3
+        assert _blocks(dblp_schema, list(reversed(every)), 3) == [every] * 3
 
     def test_no_incoming_relations_keep_only_the_output(self):
         s = Schema(("A", "B"), (("A", "B"),))
-        assert s.live_blocks({"A"}, 3) == [("A",)] * 3
-        assert s.live_blocks({"B"}, 3) == [("A", "B"), ("A", "B"), ("B",)]
-        assert s.live_blocks({"B"}, 0) == []
+        assert _blocks(s, {"A"}, 3) == [("A",)] * 3
+        assert _blocks(s, {"B"}, 3) == [("A", "B"), ("A", "B"), ("B",)]
+        assert _blocks(s, {"B": [0]}, 3) == [("A", "B"), ("A", "B"), ("B",)]
+        assert _blocks(s, {"B"}, 0) == []
 
     def test_unknown_type_named_in_error(self, dblp_schema):
-        with pytest.raises(KeyError, match="X"):
-            dblp_schema.live_blocks(["A", "X"], 2)
+        for outputs in (["A", "X"], {"A": [0], "X": [0]}):
+            with pytest.raises(KeyError, match="unknown object type: 'X'"):
+                _blocks(dblp_schema, outputs, 2)
 
 
 class TestRowPlan:
@@ -147,6 +160,21 @@ class TestRowPlan:
                 assert b.rows is None and b.select is None
                 assert all(a is norm[(gm, omega)] for gm, a in b.adjacency.items())
         assert names.lift == {"B": None}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_restricted_layer_2_products_are_rows_of_the_full_product(self, dtype):
+        from hetconv.datagen import dblp_spec, generate, with_splits
+
+        g = with_splits(generate(dblp_spec(60, seed=1)), 20.0, seed=1)
+        feats, norm = g.features_as(dtype), normalized_adjacency(g)
+        layer_2 = row_plan(g, split_rows(g, "val"), 3).blocks[0]
+        assert all(b.rows is not None for b in layer_2.values())
+        for omega, b in layer_2.items():
+            for gamma in b.adjacency:
+                got = b.aggregated(gamma, feats)
+                full = norm[(gamma, omega)].matmul(feats[gamma])
+                assert got.dtype == dtype and got.shape == (len(b.rows), full.shape[1])
+                assert got.tobytes() == full[b.rows].tobytes()
 
     def test_bad_requests(self):
         g = self._graph()
@@ -409,17 +437,22 @@ class TestDtypeCaches:
 
     def test_aggregated_features_cached_per_relation_and_dtype(self):
         g = self._graph()
-        rel = ("A", "B")
+        block = row_plan(g, ["B"], 1).blocks[0]["B"]
+        assert not block._aggregated
         for dtype in (np.float32, np.float64):
-            got = aggregated_features(g, rel, dtype)
-            assert got is aggregated_features(g, rel, np.dtype(dtype).name)
+            feats = g.features_as(dtype)
+            got = block.aggregated("A", feats)
+            assert got is block.aggregated("A", g.features_as(np.dtype(dtype).name))
             assert got.dtype == dtype
-            want = normalized_adjacency(g)[rel].matmul(g.features_as(dtype)["A"])
+            want = normalized_adjacency(g)[("A", "B")].matmul(feats["A"])
             assert got.tobytes() == want.tobytes()
-        assert aggregated_features(g, rel, np.float32) is not aggregated_features(
-            g, rel, np.float64
+        assert block.aggregated("A", g.features_as(np.float32)) is not block.aggregated(
+            "A", g.features
         )
-        assert aggregated_features(g, ("B", "A"), np.float32).shape == (4, 2)
+        assert set(block._aggregated) == {("A", np.dtype(np.float32)), ("A", np.dtype(np.float64))}
+        a_block = row_plan(g, ["A"], 1).blocks[0]["A"]
+        assert a_block.aggregated("B", g.features_as(np.float32)).shape == (4, 2)
+        assert not hasattr(g, "_aggregated_features")
 
     def test_caches_are_freed_with_their_owner(self):
         import gc
@@ -432,7 +465,7 @@ class TestDtypeCaches:
             weakref.ref(g.features_as(np.float32)["A"]),
             weakref.ref(a._product_csr(np.dtype(np.float32), False).data),
             weakref.ref(normalized_adjacency(g)[("A", "B")]),
-            weakref.ref(aggregated_features(g, ("A", "B"), np.float32)),
+            weakref.ref(row_plan(g, ["B"], 1).blocks[0]["B"].aggregated("A", g.features)),
             weakref.ref(row_plan(g, {"B": [0]}, 2)),
         ]
         del g, a

@@ -780,27 +780,62 @@ class TestGoldenMappingPasses:
 
 
 class TestCachedAggregation:
-    def _aggregating_first(self, g, params):
-        norm = normalized_adjacency(g)
-        rels = {
-            (gm, omega)
-            for omega, block in params.layers[0].items()
-            for gm, w in block.w_rel.items()
-            if aggregates_first(norm[(gm, omega)], *w.shape)
-        }
-        assert rels  # at width 128 the relations from P aggregate first
-        return rels
+    """Layer 2's aggregations of the constant features, kept by the plan."""
 
-    def test_own_adjacency_fills_the_cache_once(self):
+    def _layer_2(self, g, params, outputs):
+        return row_plan(g, outputs, params.n_layers - 1).blocks[0]
+
+    def _aggregating_first(self, params, layer_2):
+        """The (relation, dtype) keys each layer-2 block computes: those
+        ``aggregates_first`` picks on the block's own adjacency."""
+        return {
+            omega: {
+                (gm, params.dtype)
+                for gm, w in params.layers[0][omega].w_rel.items()
+                if aggregates_first(reads.adjacency[gm], *w.shape)
+            }
+            for omega, reads in layer_2.items()
+        }
+
+    def test_own_adjacency_fills_the_cache_once(self, monkeypatch):
         g, params = dblp_case()
-        rels = self._aggregating_first(g, params)
-        assert not g._aggregated_features
-        forward(params, g, norm_adj=normalized_adjacency(g))
-        cached = dict(g._aggregated_features)
-        assert set(cached) == {(rel, np.dtype(np.float32)) for rel in rels}
-        forward(params, g, mode="train")
-        assert all(g._aggregated_features[k] is v for k, v in cached.items())
-        assert len(g._aggregated_features) == len(cached)
+        feats = g.features_as(params.dtype).values()
+        products = []  # the sparse products a relation takes of a feature matrix
+
+        def counted(self, dense):
+            product = SparseAdj.matmul.__wrapped__(self, dense)
+            relations = [a for reads in layer_2.values() for a in reads.adjacency.values()]
+            if any(dense is f for f in feats) and any(self is a for a in relations):
+                products.append(product)
+            return product
+
+        counted.__wrapped__ = SparseAdj.matmul
+        monkeypatch.setattr(SparseAdj, "matmul", counted)
+        wants = []
+        for outputs in (g.schema.object_types, split_rows(g, "val")):
+            layer_2 = self._layer_2(g, params, outputs)
+            want = self._aggregating_first(params, layer_2)
+            wants.append(want)
+            # at width 128 the relations from P aggregate first
+            assert any(want.values())
+            assert not any(reads._aggregated for reads in layer_2.values())
+            del products[:]
+            forward(params, g, norm_adj=normalized_adjacency(g), outputs=outputs)
+            kept = {omega: dict(reads._aggregated) for omega, reads in layer_2.items()}
+            assert {omega: set(k) for omega, k in kept.items()} == want
+            assert len(products) == sum(map(len, want.values()))
+            forward(params, g, outputs=outputs)
+            assert len(products) == sum(map(len, want.values()))
+            for omega, reads in layer_2.items():
+                assert reads._aggregated.keys() == kept[omega].keys()
+                assert all(reads._aggregated[k] is v for k, v in kept[omega].items())
+        # the val plan's P block aggregates T first: its fewer rows favour it
+        assert wants[0]["P"] == set() and wants[1]["P"] == {("T", params.dtype)}
+        # the graph keeps no cache of its own
+        assert set(vars(g)) == {
+            "schema", "adjacency", "features", "labels", "class_counts", "splits",
+            "_features_by_dtype", "_normalized_adjacency", "_row_plans",
+        }
 
     def test_foreign_adjacency_is_rejected(self):
         g, params = dblp_case()
@@ -813,12 +848,16 @@ class TestCachedAggregation:
                 for rel, a in g.adjacency.items()
             },
         )
+        layers_2 = [
+            self._layer_2(g, params, outputs)
+            for outputs in (g.schema.object_types, split_rows(g, "val"))
+        ]
         for foreign in (normalized_adjacency(other), dict(normalized_adjacency(g))):
             with pytest.raises(ValueError, match="norm_adj"):
                 forward(params, g, norm_adj=foreign)
             with pytest.raises(ValueError, match="norm_adj"):
                 evaluate(params, g, "val", norm_adj=foreign)
-        assert not g._aggregated_features
+        assert not any(reads._aggregated for layer_2 in layers_2 for reads in layer_2.values())
 
 
 class TestSpectralEquivalence:

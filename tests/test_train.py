@@ -196,6 +196,29 @@ class TestEvaluate:
         assert np.array_equal(shifted.argmax(axis=1), pred_base)
         assert set(base) == {"B"}
 
+    def test_named_split_is_its_split_rows(self):
+        from dataclasses import replace
+
+        from hetconv.datagen import dblp_spec, generate, with_splits
+        from hetconv.graph import split_rows
+
+        g = with_splits(generate(dblp_spec(40, seed=1)), 40.0, seed=1)
+        n_p = g.n_objects("P")
+        # labels on P too, in schema order before A, with an empty val part
+        g = replace(
+            g,
+            labels={**g.labels, "P": np.arange(n_p) % 3},
+            class_counts={**g.class_counts, "P": 3},
+            splits={**g.splits, "P": {"train": np.arange(0, n_p, 2),
+                                      "val": np.array([], dtype=np.int64)}},
+        )
+        params = build_params(g, TrainConfig(layer_widths=(8, 4), d_a=4, seed=1))
+        for part in ("train", "val"):
+            metrics = evaluate(params, g, part)
+            assert metrics == evaluate(params, g, split_rows(g, part))
+            assert list(metrics) == list(split_rows(g, part))
+        assert list(evaluate(params, g, "train")) == ["P", "A"]
+
     def test_empty_split_error(self, toy_graph):
         params = _fit_quick(toy_graph, 0)[0]
         with pytest.raises(ValueError, match="empty"):
