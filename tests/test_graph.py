@@ -452,7 +452,6 @@ class TestDtypeCaches:
         assert set(block._aggregated) == {("A", np.dtype(np.float32)), ("A", np.dtype(np.float64))}
         a_block = row_plan(g, ["A"], 1).blocks[0]["A"]
         assert a_block.aggregated("B", g.features_as(np.float32)).shape == (4, 2)
-        assert not hasattr(g, "_aggregated_features")
 
     def test_caches_are_freed_with_their_owner(self):
         import gc

@@ -800,16 +800,15 @@ class TestCachedAggregation:
     def test_own_adjacency_fills_the_cache_once(self, monkeypatch):
         g, params = dblp_case()
         feats = g.features_as(params.dtype).values()
-        products = []  # the sparse products a relation takes of a feature matrix
+        matmul = SparseAdj.matmul
+        products = []  # the sparse products a layer-2 relation takes of a feature matrix
 
-        def counted(self, dense):
-            product = SparseAdj.matmul.__wrapped__(self, dense)
-            relations = [a for reads in layer_2.values() for a in reads.adjacency.values()]
-            if any(dense is f for f in feats) and any(self is a for a in relations):
-                products.append(product)
-            return product
+        def counted(a, dense):
+            relations = [b for reads in layer_2.values() for b in reads.adjacency.values()]
+            if any(dense is f for f in feats) and any(a is b for b in relations):
+                products.append(a)
+            return matmul(a, dense)
 
-        counted.__wrapped__ = SparseAdj.matmul
         monkeypatch.setattr(SparseAdj, "matmul", counted)
         wants = []
         for outputs in (g.schema.object_types, split_rows(g, "val")):
