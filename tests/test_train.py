@@ -415,11 +415,18 @@ class TestGoldenFit:
     # sha256 of repr([(train_loss, val_micro_f1) per epoch]) followed by
     # every parameter's bytes in named() order, for a seeded fit on
     # dblp_spec(235, seed=4) with 20% splits, at feature scale 1 (float32)
-    # and 1e16 (float64)
+    # and 1e16 (float64), on one BLAS thread (see conftest.py)
     GOLDEN = {
-        1.0: "be298e822b542de37563c7bec75b3e1e38e38e915cbebdd48245b35ec6ba6646",
-        1e16: "bda2c262b79903afca82d4801ed6574c6b754a5ecb34374a849fc02cf7cadb27",
+        1.0: "e64525d8b34bcbd6bad87101198711dae75337f0604ed44e7ed4df6dcdf22e8f",
+        1e16: "816f6a6e295299ea4c5e15cdc548405f423b52f3dcd23749d303b2483ec02bad",
     }
+
+    def test_runs_on_one_blas_thread(self):
+        # the digests hold for one thread count; conftest.py pins it to 1
+        from hetconv.cli import _blas_threads
+
+        counts = _blas_threads()
+        assert counts and set(counts.values()) == {1}, counts
 
     @pytest.mark.parametrize("scale", sorted(GOLDEN))
     def test_seeded_fit_matches_golden_digest(self, scale):
