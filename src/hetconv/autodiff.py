@@ -85,6 +85,8 @@ class Tape:
         One-shot: each record (and with it the activations it saved) is
         released as soon as its backward has run, so the gradients of the
         lower layers reuse the memory of the upper layers' activations.
+        Values are consumed too: ``attend`` writes its candidate gradients
+        over its candidate buffer, every slab included, tracked or not.
         """
         if loss.value.shape != (1, 1):
             raise ValueError(f"backward needs a scalar loss, got {loss.value.shape}")
@@ -146,8 +148,9 @@ def _tape_of(*xs: GradMatrix) -> Tape | None:
 
 
 def _accum(x: GradMatrix, g: np.ndarray) -> None:
-    """Add ``g`` into ``x.grad``. Every backward pass hands over a freshly
-    allocated ``g``, so the first one is adopted without a copy."""
+    """Add ``g`` into ``x.grad``. Every backward pass hands over a ``g``
+    that nothing else reads, freshly allocated or a slab of ``attend``'s
+    candidate buffer, so the first one is adopted without a copy."""
     if x.tape is None:
         return
     if x.grad is None:
@@ -254,9 +257,14 @@ def attend(
     returns them, or else one stacked copy. The logits are one mat-vec
     over its k*n rows; the mix is one batched product, each object's
     1 x k weights times its k x d rows. The backward pass writes all k
-    candidate gradients into one k x n x d array with one batched product
+    candidate gradients over that k x n x d array with one batched product
     (per object, its weights and logit gradients times its row of the mix
     gradient and the folded key map) and hands each candidate its slab.
+    So when any candidate is tracked, backward overwrites the whole buffer,
+    every slab included, tracked or not: a candidate's value is no longer
+    its forward value after ``Tape.backward``. Slabs of one buffer must
+    therefore feed no other record, as ``model.hetero_conv``'s feed only
+    this one; a stacked copy is attend's own.
 
     The logits, softmax and their backward run in float64 (k is small),
     and the returned weights are float64; the mix, the output ELU and
@@ -310,11 +318,6 @@ def attend(
         tracked = [j for j, z in enumerate(values) if z.tape is not None]
 
         def backward(g: np.ndarray) -> None:
-            # allocated before the temporaries: allocated after them, it
-            # grew the heap from epoch to epoch (train_large peak RSS +12%
-            # over the separate gradients of earlier versions, against
-            # about +4.5% this way)
-            grads = np.empty((k, n, d), dtype=dtype) if tracked else None
             # object i's k candidate gradients are its k x r coefficients
             # times row i of the r basis slabs: the mix gradient and, with
             # maps, the key map folded with w_a
@@ -347,14 +350,15 @@ def attend(
                 if w_a.tape is not None:
                     _accum(w_a, np.concatenate([m_k.T @ d_key, m_q.T @ d_query])[:, None])
             if tracked:
-                # written candidate-major, so candidate j's gradient is slab j
-                np.matmul(coef, basis.transpose(1, 0, 2), out=grads.transpose(1, 0, 2))
+                # written over the candidates, which nothing reads from here
+                # on, so candidate j's gradient is slab j of the buffer
+                np.matmul(coef, basis.transpose(1, 0, 2), out=buf.transpose(1, 0, 2))
                 if maps:
                     # the query side is candidate 0's alone; the key slab is
                     # free for the product
-                    grads[0] += np.multiply(d_q[:, None], query.T, out=basis[1])
+                    buf[0] += np.multiply(d_q[:, None], query.T, out=basis[1])
                 for j in tracked:
-                    _accum(values[j], grads[j])
+                    _accum(values[j], buf[j])
 
         tape.record(out, backward)
     return out, att.T

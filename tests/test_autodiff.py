@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hetconv import autodiff
 from hetconv import rng as rng_mod
 from hetconv.autodiff import (
     GradMatrix,
@@ -260,14 +263,14 @@ class TestAttendOracle:
         return zs.astype(dtype), maps
 
     def _run(self, buf, separate, maps, tracked):
-        """attend on slabs of ``buf`` or on copies; candidate j is tracked
-        where ``tracked[j]``; returns the output, weights, candidate
-        gradients and map gradients after one backward pass."""
+        """attend on slabs of a copy of ``buf`` or on separate copies;
+        candidate j is tracked where ``tracked[j]``; returns the output,
+        weights, candidate gradients and map gradients after one backward
+        pass. Backward writes the gradients over the candidate buffer, so
+        ``buf`` itself is left for the caller to read again."""
         tape = Tape()
-        values = [
-            GradMatrix(z.copy() if separate else z, tape if t else None)
-            for z, t in zip(buf, tracked)
-        ]
+        zs = [z.copy() for z in buf] if separate else buf.copy()
+        values = [GradMatrix(z, tape if t else None) for z, t in zip(zs, tracked)]
         leaves = [GradMatrix(m, tape) for m in maps] if maps is not None else []
         out, att = attend(values, *leaves)
         tape.backward(loss(out, seed=3))
@@ -308,6 +311,49 @@ class TestAttendOracle:
             assert all(g.dtype == np.float32 for g in grads)
             assert np.abs(out - want_out).max() <= 1e-6 * np.abs(want_out).max()
             assert np.abs(att - want_att).max() <= 1e-6
+
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_backward_writes_the_gradients_over_the_candidate_buffer(self, separate, monkeypatch):
+        # the buffer attend reads: the slabs' own, or its stacked copy
+        read = []
+
+        def spy(values, dtype):
+            read.append(_candidate_buffer(values, dtype))
+            return read[-1]
+
+        monkeypatch.setattr(autodiff, "_candidate_buffer", spy)
+        buf, maps = self._case(3, True, np.float64, seed=7)
+        tracked = [True, False, True]
+        _, _, grads, _ = self._run(buf, separate, maps, tracked)
+        (cand,) = read
+        assert cand.shape == buf.shape and not np.shares_memory(cand, buf)
+        for j, g in enumerate(grads):
+            if tracked[j]:
+                assert g.base is cand and g.ctypes.data == cand[j].ctypes.data
+
+    def test_backward_allocates_less_than_the_candidate_gradients(self):
+        # at (k, n, d) = (4, 2000, 64) in float32 the k gradients take
+        # k*n*d*4 bytes; written over the candidates they need none of it
+        k, n, d, d_a = 4, 2000, 64, 16
+        rng = np.random.default_rng(9)
+        tape = Tape()
+        buf = rng.normal(size=(k, n, d)).astype(np.float32)
+        values = [GradMatrix(z, tape) for z in buf]
+        maps = [
+            GradMatrix(rng.normal(size=shape).astype(np.float32), tape)
+            for shape in ((d, d_a), (d, d_a), (2 * d_a, 1))
+        ]
+        attend(values, *maps)
+        ((_, backward),) = tape._records
+        g = rng.normal(size=(n, d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(z.grad is not None for z in values)
+        assert peak < k * n * d * 4, peak
 
     def test_gradient_through_one_buffer(self):
         # the candidates are matmul products written into one buffer's slabs

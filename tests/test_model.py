@@ -231,6 +231,18 @@ class TestCandidateBuffer:
         report = gradcheck(f, params, tol=1e-5)
         assert report.passed, f"max rel err {report.max_rel_err:.2e}"
 
+    def test_backward_writes_the_candidate_gradients_over_the_buffer(self):
+        adj, h, w = self._block(seed=3)
+        tape = Tape()
+        candidates = self._conv(adj, h, w, tape)
+        buf = candidates[0].value.base
+        rng = np.random.default_rng(4)
+        maps = [GradMatrix(rng.normal(size=shape), tape) for shape in ((2, 2), (2, 2), (4, 1))]
+        out, _ = attend(candidates, *maps)
+        tape.backward(cross_entropy([(out, np.arange(4), np.arange(4) % 2, 1.0)]))
+        for j, z in enumerate(candidates):
+            assert z.grad.base is buf and z.grad.ctypes.data == buf[j].ctypes.data
+
     def test_project_first_relation_with_wrong_row_count_names_its_type(self):
         adj, h, w = self._block(y_rows=3)
         with pytest.raises(
