@@ -12,7 +12,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import numpy as np  # noqa: E402
+import numpy as np
 import pytest
 
 from hetconv.datagen import dblp_spec, generate
